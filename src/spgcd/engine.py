@@ -4,11 +4,28 @@ Stage I    pick an isolating vector s so one input's homogenization has a
            single term of maximal y-degree (then so does the GCD's);
 Stage II   probe univariate GCD images at powers of a random point and bound
            each y-layer's term count by its first singular Hankel matrix;
-Stage III  diversify the inputs and pick the evaluation point for the grid;
+Stage III  size the working field and pick the shift element omega and the
+           evaluation point alpha for the grid;
 Stage IV   take monic univariate GCDs over the whole (n+1) x 2T grid, scaled
            so every image is an exact evaluation of the target layers;
-Stage V    sparse-interpolate each layer and undo the diversification;
+Stage V    sparse-interpolate each layer on nodes shared by all grid rows;
 Stage VI   sum the layers, strip the monomial content, normalize lex-monic.
+
+The grid.  Row 0 takes images at alpha^i, row k + 1 at alpha^i with
+coordinate k multiplied by omega once, i = 1..2T.  With c x^u y^t the GCD's
+isolated top term and d the inputs' largest partial degree, scaling the
+monic image at P by (prod P)^d evaluates L = G * x^(d - u) / c, whose
+exponents E_j lie in [0, 2d]: row 0 scales by (prod alpha)^(i d), row k + 1
+by that times omega^d.  So every row of a layer shares the nodes alpha^(E_j),
+row k + 1 scales coefficient j by omega^(E_jk), and ord(omega) > 2d makes
+E_jk a unique bounded discrete log (see interp).
+
+Stage III's m still bounds the failure probability.  It counts vanishing
+leading coefficients, unlucky univariate GCDs and colliding nodes.  At a
+point of row k + 1 each is R(alpha^i with x_k -> omega x_k) = 0 for a
+nonzero R, which stays nonzero and of the same degree in alpha, so each row
+has the bad sets the sizing assumes.  Shared nodes only drop events: only
+the base row's nodes must be distinct, and no coefficient has to be.
 
 Every detectable inconsistency (vanishing leading coefficient, image degree
 drift, interpolation failure) aborts the attempt; the driver retries with
@@ -40,7 +57,6 @@ from .sparse import (
     SparsePoly,
     add_polys,
     choose_isolating_vector,
-    diversify,
     homogenize,
     lex_monic,
     monomial_content,
@@ -48,8 +64,9 @@ from .sparse import (
     monomial_primitive,
     shift_exponents,
     to_base_field,
-    undiversify,
 )
+# Not called here; perfbench/run.py wraps engine.diversify and engine.undiversify by name.
+from .sparse import diversify, undiversify  # noqa: F401
 from .unipoly import monic_gcd
 
 _NP_LANE_MAX_P = 1 << 30
@@ -70,7 +87,6 @@ class GcdConfig:
     seed: int | None = None
     max_retries: int = 3
     term_strategy: str = "doubling"
-    isolation_strategy: str = "doubling"
     omega: int | None = None
 
     def validate(self):
@@ -80,8 +96,6 @@ class GcdConfig:
             raise InvalidInput("max_retries must be >= 0")
         if self.term_strategy not in ("doubling", "linear"):
             raise InvalidInput(f"unknown term strategy {self.term_strategy!r}")
-        if self.isolation_strategy not in ("doubling", "full"):
-            raise InvalidInput(f"unknown isolation strategy {self.isolation_strategy!r}")
 
 
 @dataclass
@@ -104,7 +118,6 @@ class StageTrace:
     ext2_degree: int = 1
     ext3_degree: int = 1
     sigma: tuple | None = None
-    zeta: tuple | None = None
     alpha: tuple | None = None
     omega: object | None = None
     gcd_image_degree: int | None = None
@@ -193,12 +206,6 @@ def hankel_first_singular(field: Field, values, T: int):
 # ---------------------------------------------------------------------------
 
 
-def _coeff_at(image, e: int):
-    if isinstance(image, np.ndarray):
-        return int(image[e]) if e < len(image) else 0
-    return image[e] if e < len(image) else None
-
-
 class _ImageStream:
     """Scaled GCD images eta_i = (prod(point))^(i*d) * monicgcd(F1_i, F2_i)
     at successive powers of one evaluation point.  A vanishing leading
@@ -211,6 +218,7 @@ class _ImageStream:
         self.ev2 = PowerImageEvaluator(field, homo2, point)
         self.top1 = homo1.max_ydeg
         self.top2 = homo2.max_ydeg
+        self.d = d
         self.scale_step = field.pow_(prod(field, point), d)
         self.scale = field.one
         self.images = []
@@ -222,9 +230,7 @@ class _ImageStream:
         while len(self.images) < count:
             img1 = self.ev1.next_image()
             img2 = self.ev2.next_image()
-            lc1 = img1[self.top1]
-            lc2 = img2[self.top2]
-            if not _is_nonzero(field, lc1) or not _is_nonzero(field, lc2):
+            if img1[self.top1] == field.zero or img2[self.top2] == field.zero:
                 raise _StageFailure(self.stage, "leading coefficient vanished")
             g = monic_gcd(field, img1, img2)
             deg = len(g) - 1
@@ -239,6 +245,14 @@ class _ImageStream:
                 eta = [field.mul(c, self.scale) for c in g]
             self.images.append(eta)
 
+    def shift_coordinate(self, k: int, omega):
+        """Start a new row: coordinate k of every point gets one factor omega,
+        so prod(point) gains omega and the scale starts at omega^d."""
+        self.ev1.shift_coordinate(k, omega)
+        self.ev2.shift_coordinate(k, omega)
+        self.scale = self.field.pow_(omega, self.d)
+        self.images = []
+
     def support(self, index: int):
         eta = self.images[index]
         if self._np:
@@ -250,10 +264,6 @@ class _ImageStream:
             return [int(img[e]) if e < len(img) else 0 for img in self.images]
         z = self.field.zero
         return [img[e] if e < len(img) else z for img in self.images]
-
-
-def _is_nonzero(field, c) -> bool:
-    return c != field.zero
 
 
 def _step1_degree(p: int, D: int, d: int) -> int:
@@ -296,7 +306,7 @@ def _run_primitive(field: PrimeField, A, B, cfg: GcdConfig, rng, trace: StageTra
     term_cap = (d + 1) ** n
 
     t0 = time.perf_counter()
-    s, which = choose_isolating_vector(A, B, rng, cfg.isolation_strategy)
+    s, which = choose_isolating_vector(A, B, rng)
     trace.s, trace.isolated_from = s, which
     homo1 = homogenize(A, s)
     homo2 = homogenize(B, s)
@@ -344,7 +354,7 @@ def _run_primitive(field: PrimeField, A, B, cfg: GcdConfig, rng, trace: StageTra
         # GCD image is a single y-term: the primitive GCD is trivial
         return SparsePoly.constant(field, n, field.one)
 
-    # Stage III: diversification field, shift element, evaluation point
+    # Stage III: working field, shift element, evaluation point
     t0 = time.perf_counter()
     m = _stage3_m(cfg.epsilon, n, d, global_T, log_q1)
     trace.m = m
@@ -356,26 +366,19 @@ def _run_primitive(field: PrimeField, A, B, cfg: GcdConfig, rng, trace: StageTra
     else:
         omega = find_primitive_root(E3, rng)
     trace.omega = omega
-    zeta = tuple(E3.rand_unit(rng) for _ in range(n))
     alpha = tuple(E3.rand_unit(rng) for _ in range(n))
-    trace.zeta, trace.alpha = zeta, alpha
-    A_div = diversify(E3, A, zeta)
-    B_div = diversify(E3, B, zeta)
-    homo1_div = homogenize(A_div, s)
-    homo2_div = homogenize(B_div, s)
+    trace.alpha = alpha
     trace.timings["III"] = trace.timings.get("III", 0.0) + time.perf_counter() - t0
 
-    # Stage IV: univariate GCDs over the full (n+1) x 2T grid
+    # Stage IV: univariate GCDs over the full (n+1) x 2T grid; one stream at
+    # alpha, restarted per row k + 1 with coordinate k times omega
     t0 = time.perf_counter()
     allowed = set(layer_ydegs) | {e_top}
-    points = [alpha]
-    for k in range(n):
-        shifted = list(alpha)
-        shifted[k] = E3.mul(shifted[k], omega)
-        points.append(tuple(shifted))
+    st = _ImageStream(E3, homo1, homo2, alpha, d, "IV")
     row_values = []
-    for point in points:
-        st = _ImageStream(E3, homo1_div, homo2_div, point, d, "IV")
+    for k in range(-1, n):
+        if k >= 0:
+            st.shift_coordinate(k, omega)
         st.ensure(2 * global_T)
         if st.gcd_degree != e_top:
             raise _StageFailure("IV", f"image degree {st.gcd_degree} != {e_top}")
@@ -385,7 +388,7 @@ def _run_primitive(field: PrimeField, A, B, cfg: GcdConfig, rng, trace: StageTra
         row_values.append({e: st.values_at(e) for e in layer_ydegs})
     trace.timings["IV"] = trace.timings.get("IV", 0.0) + time.perf_counter() - t0
 
-    # Stage V: per-layer interpolation, then undo the diversification
+    # Stage V: per-layer interpolation
     t0 = time.perf_counter()
     layers = []
     for e, T_e in zip(layer_ydegs, bounds):
@@ -397,12 +400,10 @@ def _run_primitive(field: PrimeField, A, B, cfg: GcdConfig, rng, trace: StageTra
             shifted_rows=tuple(tuple(row_values[k + 1][e][: 2 * T_e]) for k in range(n)),
         )
         try:
-            layer_div = interpolate(E3, grid, 2 * d, rng)
+            layers.append(interpolate(E3, grid, 2 * d, rng))
         except InterpolationError as exc:
             raise _StageFailure("V", f"layer y^{e}: {exc}") from exc
-        layers.append(undiversify(E3, layer_div, zeta))
-    top_div = SparsePoly(n, (E3.one,), ((d,) * n,))
-    layers.append(undiversify(E3, top_div, zeta))
+    layers.append(SparsePoly(n, (E3.one,), ((d,) * n,)))
     trace.timings["V"] = trace.timings.get("V", 0.0) + time.perf_counter() - t0
 
     # Stage VI: assemble, strip monomial content, normalize

@@ -45,12 +45,8 @@ class SingularSystem(InterpolationError):
     """Transposed Vandermonde nodes collide."""
 
 
-class DiversityViolation(InterpolationError):
-    """Duplicate coefficients make the term matching ambiguous."""
-
-
 class LengthMismatch(InterpolationError):
-    """Recurrence degree differs across evaluation rows."""
+    """A shifted evaluation row does not follow the base row's recurrence."""
 
 
 class ReEvaluationFailed(InterpolationError):

@@ -249,14 +249,12 @@ def choose_isolating_vector(
     A: SparsePoly,
     B: SparsePoly,
     rng: random.Random,
-    strategy: str = "doubling",
     max_attempts: int = 512,
 ):
     """Sample s with 1 <= s_i <= N until A or B gets a maximum isolated term.
 
-    N escalates 1, 2, 4, ... up to 2*min(#A - 1, #B - 1) and then stays there
-    ("doubling"), or starts at the cap ("full").  Returns (s, which) where
-    which is "A" or "B".
+    N escalates 1, 2, 4, ... up to 2*min(#A - 1, #B - 1) and then stays
+    there.  Returns (s, which) where which is "A" or "B".
     """
     if A.is_zero or B.is_zero:
         raise InvalidInput("inputs must be nonzero")
@@ -267,7 +265,7 @@ def choose_isolating_vector(
     if B.n_terms == 1:
         return ones, "B"
     cap = max(1, 2 * (min(A.n_terms, B.n_terms) - 1))
-    N = cap if strategy == "full" else 1
+    N = 1
     for _ in range(max_attempts):
         s = tuple(rng.randint(1, N) for _ in range(n))
         if has_max_isolated_term(A, s):
@@ -373,7 +371,8 @@ def eval_at_powers(field: Field, f: SparsePoly, alpha, count: int):
 class PowerImageEvaluator:
     """Successive dense univariate images F(y, beta^i) of a homogenized
     polynomial, i = 1, 2, ...; running monomial powers make each image
-    O(#F) multiplications."""
+    O(#F) multiplications.  The monomial values M_j(beta) are computed once
+    and reused when shift_coordinate restarts the sequence."""
 
     def __init__(self, field: Field, homo: HomoPoly, beta):
         self.field = field
@@ -392,6 +391,15 @@ class PowerImageEvaluator:
             self.ydegs = homo.ydegs
             self.running = [field.one] * len(coeffs)
         self.width = homo.max_ydeg + 1
+
+    def shift_coordinate(self, k: int, omega):
+        """Restart at i = 1 with x_k -> omega * beta_k^i (omega not raised to
+        i): each term's running power starts at omega^(e_jk), not 1."""
+        col = [e[k] for e in self.homo.source.exps]
+        if self._np:
+            self.running = _np_powmod_vec(omega, np.array(col, dtype=np.int64), self.field.p)
+        else:
+            self.running = [self.field.pow_(omega, c) for c in col]
 
     def next_image(self):
         """Image at the next power; dense vector of length max_ydeg + 1."""

@@ -17,6 +17,7 @@ from spgcd.instances import gen_triple, random_poly
 from spgcd.interp import EvalGrid, interpolate
 from spgcd.oracle import dense_gcd, sparse_mul
 from spgcd.sparse import (
+    diversify,
     eval_at_powers,
     has_max_isolated_term,
     homogenize,
@@ -162,7 +163,8 @@ def test_criterion_5_early_termination_bracket():
 
 def test_criterion_6_interpolation_round_trip():
     """200 random diverse polynomials (n <= 6, T <= 30, d <= 100): at least
-    190 exact recoveries and zero silent wrong answers."""
+    190 exact recoveries and zero silent wrong answers.  Shifted row k holds
+    f with x_k -> omega * x_k at the base row's points alpha^i."""
     successes = 0
     silent_wrong = 0
     trials = 200
@@ -177,9 +179,8 @@ def test_criterion_6_interpolation_round_trip():
         base = tuple(eval_at_powers(FP, f, alpha, 2 * T))
         rows = []
         for k in range(n):
-            pt = list(alpha)
-            pt[k] = FP.mul(pt[k], STANDARD_OMEGA)
-            rows.append(tuple(eval_at_powers(FP, f, tuple(pt), 2 * T)))
+            shift = tuple(STANDARD_OMEGA if i == k else 1 for i in range(n))
+            rows.append(tuple(eval_at_powers(FP, diversify(FP, f, shift), alpha, 2 * T)))
         grid = EvalGrid(alpha, STANDARD_OMEGA, T, base, tuple(rows))
         try:
             got = interpolate(FP, grid, d, rng)

@@ -185,7 +185,7 @@ class TestDeterminism:
         r1, t1 = gcd(FP, A, B, GcdConfig(seed=11, omega=6))
         r2, t2 = gcd(FP, A, B, GcdConfig(seed=11, omega=6))
         assert r1 == r2
-        assert (t1.s, t1.sigma, t1.zeta, t1.alpha) == (t2.s, t2.sigma, t2.zeta, t2.alpha)
+        assert (t1.s, t1.sigma, t1.alpha) == (t2.s, t2.sigma, t2.alpha)
         assert t1.term_bounds == t2.term_bounds
 
     def test_extension_path_deterministic(self):

@@ -1,28 +1,32 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spgcd.errors import (
-    DiversityViolation,
-    LengthMismatch,
-    NotAPower,
-)
-from spgcd.field import PrimeField
+from spgcd.errors import InterpolationError, LengthMismatch, NotAPower
+from spgcd.field import ExtField, PrimeField, find_irreducible, find_primitive_root
 from spgcd.instances import random_poly
 from spgcd.interp import EvalGrid, interpolate
-from spgcd.sparse import SparsePoly, eval_at_powers
+from spgcd.sparse import SparsePoly, diversify, eval_at_powers
 
 F7 = PrimeField(7)
 FP = PrimeField(10000019)
+F343 = ExtField(7, find_irreducible(7, 3, random.Random(0)))
+# (field, omega) with ord(omega) > MAX_DEG, so exponents up to MAX_DEG are unique
+LANES = [(PrimeField(101), 2), (FP, 6), (F343, find_primitive_root(F343, random.Random(0)))]
+MAX_DEG = 8
 
 
 def grid_for(field, f, alpha, omega, T):
+    """Base row f(alpha^i); shifted row k is f with x_k -> omega * x_k at the
+    same points, i = 1..2T."""
+    n = f.nvars
     base = tuple(eval_at_powers(field, f, alpha, 2 * T))
     rows = []
-    for k in range(f.nvars):
-        pt = list(alpha)
-        pt[k] = field.mul(pt[k], omega)
-        rows.append(tuple(eval_at_powers(field, f, tuple(pt), 2 * T)))
+    for k in range(n):
+        shifted = diversify(field, f, tuple(omega if i == k else field.one for i in range(n)))
+        rows.append(tuple(eval_at_powers(field, shifted, alpha, 2 * T)))
     return EvalGrid(alpha=tuple(alpha), omega=omega, T=T, base_row=base, shifted_rows=tuple(rows))
 
 
@@ -32,7 +36,7 @@ class TestWorkedExample:
         f = SparsePoly.from_terms(F7, 1, [(2, (3,))])
         g = grid_for(F7, f, (3,), 3, 1)
         assert g.base_row == (5, 2)
-        assert g.shifted_rows == ((2, 2),)
+        assert g.shifted_rows == ((2, 5),)
         assert interpolate(F7, g, 6, random.Random(0)) == f
 
     def test_constant(self):
@@ -61,17 +65,19 @@ class TestRandomRecovery:
         g = grid_for(FP, f, alpha, 6, 8)  # T larger than #f
         assert interpolate(FP, g, 20, rng) == f
 
+    def test_duplicate_coefficients(self):
+        # terms match by node, not by coefficient, so equal coefficients are fine
+        f = SparsePoly.from_terms(FP, 2, [(1, (1, 0)), (1, (0, 1))])  # x1 + x2
+        g = grid_for(FP, f, (17, 23), 6, 2)
+        assert interpolate(FP, g, 5, random.Random(3)) == f
+        rng = random.Random(11)
+        support = random_poly(FP, rng, 3, 8, 20)
+        f = SparsePoly.from_terms(FP, 3, [(42, e) for e in support.exps])
+        alpha = tuple(FP.rand_unit(rng) for _ in range(3))
+        assert interpolate(FP, grid_for(FP, f, alpha, 6, 8), 20, rng) == f
+
 
 class TestFailureModes:
-    def test_duplicate_coefficients(self):
-        # x1 + x2 is not diverse: both coefficients are 1
-        f = SparsePoly.from_terms(FP, 2, [(1, (1, 0)), (1, (0, 1))])
-        rng = random.Random(3)
-        alpha = (17, 23)
-        g = grid_for(FP, f, alpha, 6, 2)
-        with pytest.raises(DiversityViolation):
-            interpolate(FP, g, 5, rng)
-
     def test_exponent_beyond_bound(self):
         f = SparsePoly.from_terms(FP, 1, [(2, (9,))])
         rng = random.Random(4)
@@ -83,7 +89,7 @@ class TestFailureModes:
         f = SparsePoly.from_terms(FP, 1, [(3, (2,))])
         other = SparsePoly.from_terms(FP, 1, [(3, (2,)), (5, (1,))])
         base = tuple(eval_at_powers(FP, f, (99,), 4))
-        row = tuple(eval_at_powers(FP, other, (99 * 6 % FP.p,), 4))
+        row = tuple(eval_at_powers(FP, diversify(FP, other, (6,)), (99,), 4))
         g = EvalGrid((99,), 6, 2, base, (row,))
         with pytest.raises(LengthMismatch):
             interpolate(FP, g, 10, random.Random(5))
@@ -111,3 +117,43 @@ class TestRowAgreement:
             alpha = tuple(FP.rand_unit(rng) for _ in range(n))
             g = grid_for(FP, f, alpha, 6, 8)
             assert interpolate(FP, g, 30, rng) == f
+
+
+@st.composite
+def small_polys(draw):
+    """(field, omega, f, extra term slack, seed); coefficients repeat often."""
+    field, omega = draw(st.sampled_from(LANES))
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(0, MAX_DEG))
+    exps = draw(st.lists(st.tuples(*[st.integers(0, d)] * n), min_size=1, max_size=6, unique=True))
+    coeff = st.one_of(st.integers(1, 3), st.integers(1, field.p - 1))
+    coeffs = draw(st.lists(coeff, min_size=len(exps), max_size=len(exps)))
+    f = SparsePoly.from_terms(field, n, zip(coeffs, exps))
+    return field, omega, f, d, draw(st.integers(0, 2)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestProperty:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(small_polys())
+    def test_exact_or_interpolation_error(self, case):
+        # alpha is drawn uniformly, as the algorithm's guarantee assumes.  When
+        # alpha^E separates the monomials of f, recovery is exact.  Otherwise
+        # (likely at p = 101) two monomials share a node, and the returned
+        # polynomial, if any, must reproduce every row: the grid cannot tell
+        # it from f.
+        field, omega, f, d, slack, seed = case
+        rng = random.Random(seed)
+        alpha = tuple(field.rand_unit(rng) for _ in range(f.nvars))
+        grid = grid_for(field, f, alpha, omega, f.n_terms + slack)
+        nodes = {eval_at_powers(field, SparsePoly(f.nvars, (field.one,), (e,)), alpha, 1)[0]
+                 for e in f.exps}
+        separated = len(nodes) == f.n_terms
+        try:
+            got = interpolate(field, grid, d, rng)
+        except InterpolationError:
+            assert not separated
+            return
+        if separated:
+            assert got == f
+        else:
+            assert grid_for(field, got, alpha, omega, grid.T) == grid
