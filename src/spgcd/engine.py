@@ -43,11 +43,14 @@ import numpy as np
 
 from .errors import GcdFailure, InterpolationError, InvalidInput
 from .field import (
+    LANE_FP_NUMPY,
+    LANE_FPK_KERNEL,
     ExtField,
     Field,
     PrimeField,
     find_irreducible,
     find_primitive_root,
+    lane,
     multiplicative_order_exceeds,
     prod,
 )
@@ -68,8 +71,6 @@ from .sparse import (
 # Not called here; perfbench/run.py wraps engine.diversify and engine.undiversify by name.
 from .sparse import diversify, undiversify  # noqa: F401
 from .unipoly import monic_gcd
-
-_NP_LANE_MAX_P = 1 << 30
 
 
 @dataclass
@@ -109,7 +110,9 @@ class TermBounds:
 
 @dataclass
 class StageTrace:
-    """Observability record for one primitive_gcd call."""
+    """Observability record for one primitive_gcd call.  ``lanes`` maps
+    stages "II" and "IV" to the arithmetic lane (``field.lane``) of the
+    field their images and univariate GCDs ran in."""
 
     s: tuple | None = None
     isolated_from: str | None = None
@@ -123,6 +126,7 @@ class StageTrace:
     gcd_image_degree: int | None = None
     term_bounds: TermBounds | None = None
     retries: int = 0
+    lanes: dict = dataclass_field(default_factory=dict)
     timings: dict = dataclass_field(default_factory=dict)
     failures: list = dataclass_field(default_factory=list)
 
@@ -183,7 +187,7 @@ def _hankel_singular(field: Field, values, size: int) -> bool:
     """det HK_size == 0, where HK has entries v_(i+j-1) and values[0] = v_1."""
     if len(values) < 2 * size - 1:
         raise InvalidInput("need 2*size - 1 values")
-    if isinstance(field, PrimeField) and field.p < _NP_LANE_MAX_P:
+    if lane(field) == LANE_FP_NUMPY:
         v = np.array(values, dtype=np.int64)
         idx = np.arange(size)
         return _np_matrix_singular(field.p, v[idx[:, None] + idx[None, :]])
@@ -223,14 +227,14 @@ class _ImageStream:
         self.scale = field.one
         self.images = []
         self.gcd_degree = None
-        self._np = isinstance(field, PrimeField) and field.p < _NP_LANE_MAX_P
+        self.lane = lane(field)
 
     def ensure(self, count: int):
         field = self.field
         while len(self.images) < count:
             img1 = self.ev1.next_image()
             img2 = self.ev2.next_image()
-            if img1[self.top1] == field.zero or img2[self.top2] == field.zero:
+            if not np.any(img1[self.top1]) or not np.any(img2[self.top2]):
                 raise _StageFailure(self.stage, "leading coefficient vanished")
             g = monic_gcd(field, img1, img2)
             deg = len(g) - 1
@@ -239,8 +243,10 @@ class _ImageStream:
             elif deg != self.gcd_degree:
                 raise _StageFailure(self.stage, "image degree disagreement")
             self.scale = field.mul(self.scale, self.scale_step)
-            if self._np:
+            if self.lane == LANE_FP_NUMPY:
                 eta = g * self.scale % field.p
+            elif self.lane == LANE_FPK_KERNEL:
+                eta = field.kernel.elements(field.kernel.mul(self.scale, g))
             else:
                 eta = [field.mul(c, self.scale) for c in g]
             self.images.append(eta)
@@ -255,12 +261,12 @@ class _ImageStream:
 
     def support(self, index: int):
         eta = self.images[index]
-        if self._np:
+        if self.lane == LANE_FP_NUMPY:
             return set(int(x) for x in np.nonzero(eta)[0])
         return set(i for i, c in enumerate(eta) if c != self.field.zero)
 
     def values_at(self, e: int):
-        if self._np:
+        if self.lane == LANE_FP_NUMPY:
             return [int(img[e]) if e < len(img) else 0 for img in self.images]
         z = self.field.zero
         return [img[e] if e < len(img) else z for img in self.images]
@@ -324,6 +330,7 @@ def _run_primitive(field: PrimeField, A, B, cfg: GcdConfig, rng, trace: StageTra
     sigma = tuple(E2.rand_unit(rng) for _ in range(n))
     trace.sigma = sigma
     stream = _ImageStream(E2, homo1, homo2, sigma, d, "II")
+    trace.lanes["II"] = stream.lane
 
     T = 1
     first_singular: dict = {}
@@ -375,6 +382,7 @@ def _run_primitive(field: PrimeField, A, B, cfg: GcdConfig, rng, trace: StageTra
     t0 = time.perf_counter()
     allowed = set(layer_ydegs) | {e_top}
     st = _ImageStream(E3, homo1, homo2, alpha, d, "IV")
+    trace.lanes["IV"] = st.lane
     row_values = []
     for k in range(-1, n):
         if k >= 0:

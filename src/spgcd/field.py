@@ -3,12 +3,19 @@
 Elements of F_p are plain ints in [0, p); elements of F_{p^k} are k-tuples of
 ints (coefficients of the residue polynomial, low degree first).  Fields are
 immutable after construction and all operations are pure.
+
+Every layer runs a field's vector arithmetic on the lane that ``lane`` names:
+numpy int64 vectors for F_p with p < 2^30, the ``ExtKernel`` on (..., k)
+int64 arrays for F_{p^k} with (p - 1)^2 k < 2^62, and python scalars and
+k-tuples (the generic lane) for every other field.
 """
 
 from __future__ import annotations
 
 import math
 import random
+
+import numpy as np
 
 from .errors import (
     DivisionByZero,
@@ -18,6 +25,11 @@ from .errors import (
 )
 
 MAX_MODULUS = 1 << 62  # products of two residues must fit double-width integers
+NP_MAX_P = 1 << 30  # F_p numpy lane: two scaled subtractions must stay inside int64
+
+LANE_FP_NUMPY = "fp-numpy"
+LANE_FPK_KERNEL = "fpk-kernel"
+LANE_GENERIC = "generic"
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -180,7 +192,7 @@ class ExtField:
     caller's responsibility (find_irreducible verifies its output).
     """
 
-    __slots__ = ("p", "k", "order", "modulus", "zero", "one", "_red")
+    __slots__ = ("p", "k", "order", "modulus", "zero", "one", "_red", "kernel")
 
     def __init__(self, p: int, modulus: tuple):
         if not is_probable_prime(p):
@@ -206,6 +218,7 @@ class ExtField:
                     row[j] = (row[j] + top * red[0][j]) % p
             red.append(tuple(row))
         self._red = red
+        self.kernel = ExtKernel(self) if ExtKernel.fits(p, k) else None
 
     def __repr__(self):
         return f"ExtField(p={self.p}, k={self.k})"
@@ -315,7 +328,80 @@ class ExtField:
                 return a
 
 
+class ExtKernel:
+    """Vector arithmetic over F_{p^k} on int64 arrays of shape (..., k): the
+    last axis holds one element's coefficients, reduced mod p.
+
+    Multiplication by a is F_p-linear with matrix sum_i a_i Z_i, where Z_i is
+    the matrix of multiplication by z^i.  Building that matrix and applying
+    it each sum k products of residues, so the kernel exists only when
+    (p - 1)^2 k < 2^62 (``fits``); larger fields keep the generic lane.
+    """
+
+    __slots__ = ("p", "k", "zflat")
+
+    @staticmethod
+    def fits(p: int, k: int) -> bool:
+        return (p - 1) ** 2 * k < 1 << 62
+
+    def __init__(self, field: ExtField):
+        p, k = field.p, field.k
+        # z^0 .. z^(2k-2) mod Phi, one per row
+        zpow = np.zeros((2 * k - 1, k), dtype=np.int64)
+        zpow[:k] = np.eye(k, dtype=np.int64)
+        zpow[k:] = np.array(field._red[: k - 1], dtype=np.int64).reshape(k - 1, k)
+        idx = np.arange(k)
+        # zstack[i, r, c] = coefficient r of z^(i + c); kept as (k, k * k)
+        zstack = zpow[idx[:, None] + idx[None, :]].transpose(0, 2, 1)
+        self.p, self.k = p, k
+        self.zflat = np.ascontiguousarray(zstack).reshape(k, k * k)
+
+    def array(self, elts) -> np.ndarray:
+        """(len(elts), k) array of a sequence of k-tuples."""
+        return np.array(elts, dtype=np.int64).reshape(-1, self.k)
+
+    def elements(self, a: np.ndarray) -> list:
+        """Inverse of array: a list of k-tuples of ints."""
+        return [tuple(row) for row in a.tolist()]
+
+    def matrices(self, a) -> np.ndarray:
+        """Multiplication matrices (..., k, k) of the elements a (..., k)."""
+        a = np.asarray(a, dtype=np.int64)
+        return (a @ self.zflat).reshape(a.shape[:-1] + (self.k, self.k)) % self.p
+
+    def apply(self, m: np.ndarray, b) -> np.ndarray:
+        """Elementwise products of the elements with matrices m and b."""
+        return np.matmul(m, np.asarray(b)[..., None])[..., 0] % self.p
+
+    def mul(self, a, b) -> np.ndarray:
+        """Elementwise (broadcasting) product."""
+        return self.apply(self.matrices(a), b)
+
+    def powers(self, x, e: int) -> np.ndarray:
+        """(e + 1, ..., k) table of x^0, ..., x^e for the elements x (..., k),
+        filled by doubling."""
+        step = np.asarray(x, dtype=np.int64)  # x^n while rows [0, n) are filled
+        out = np.zeros((e + 1,) + step.shape, dtype=np.int64)
+        out[0, ..., 0] = 1
+        n = 1
+        while n <= e:
+            m = min(n, e + 1 - n)
+            mat = self.matrices(step)
+            out[n : n + m] = self.apply(mat, out[:m])
+            n += m
+            if n <= e:
+                step = self.apply(mat, step)
+        return out
+
+
 Field = PrimeField | ExtField
+
+
+def lane(field: Field) -> str:
+    """The arithmetic lane every layer uses for field's vectors."""
+    if isinstance(field, PrimeField):
+        return LANE_FP_NUMPY if field.p < NP_MAX_P else LANE_GENERIC
+    return LANE_FPK_KERNEL if field.kernel is not None else LANE_GENERIC
 
 
 def prod(field: Field, elts) -> object:

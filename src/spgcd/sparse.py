@@ -12,9 +12,7 @@ import random
 import numpy as np
 
 from .errors import InvalidInput, SpgcdError, ZeroPolynomial, ZeroScale
-from .field import ExtField, Field, PrimeField
-
-_NP_EVAL_MAX_P = 1 << 30
+from .field import LANE_FP_NUMPY, LANE_FPK_KERNEL, LANE_GENERIC, ExtField, Field, PrimeField, lane
 
 
 def _as_field_coeff(field: Field, c):
@@ -320,12 +318,24 @@ def _np_powmod_vec(base: int, exps: np.ndarray, p: int) -> np.ndarray:
 
 
 def _monomial_values(field: Field, exps, point):
-    """M_j(point) for every exponent vector, in term order."""
-    if isinstance(field, PrimeField) and field.p < _NP_EVAL_MAX_P and exps:
+    """M_j(point) for every exponent vector, in term order.  On the F_{p^k}
+    kernel the coordinates' powers come from one table, gathered by the
+    exponent matrix."""
+    ln = lane(field) if exps else LANE_GENERIC
+    if ln == LANE_FP_NUMPY:
         mat = np.array(exps, dtype=np.int64)
         out = np.ones(len(exps), dtype=np.int64)
         for l in range(mat.shape[1]):
             out = out * _np_powmod_vec(point[l], mat[:, l], field.p) % field.p
+        return out
+    if ln == LANE_FPK_KERNEL:
+        kern = field.kernel
+        mat = np.array(exps, dtype=np.int64)
+        table = kern.powers(kern.array(point), int(mat.max(initial=0)))
+        factors = table[mat, np.arange(mat.shape[1])]
+        out = kern.array([field.one] * len(exps))
+        for l in range(mat.shape[1]):
+            out = kern.mul(out, factors[:, l])
         return out
     vals = []
     for e in exps:
@@ -348,7 +358,8 @@ def eval_at_powers(field: Field, f: SparsePoly, alpha, count: int):
     if f.is_zero:
         return [field.zero] * count
     mvals = _monomial_values(field, f.exps, alpha)
-    if isinstance(mvals, np.ndarray):
+    ln = lane(field)
+    if ln == LANE_FP_NUMPY:
         p = field.p
         coeffs = np.array(f.coeffs, dtype=np.int64)
         running = np.ones(len(mvals), dtype=np.int64)
@@ -357,6 +368,16 @@ def eval_at_powers(field: Field, f: SparsePoly, alpha, count: int):
             running = running * mvals % p
             out.append(int(np.sum(coeffs * running % p) % p))
         return out
+    if ln == LANE_FPK_KERNEL:
+        # running term values c_j M_j^i, one batched product per point
+        kern = field.kernel
+        mmats = kern.matrices(mvals)
+        running = kern.array([_as_field_coeff(field, c) for c in f.coeffs])
+        out = []
+        for _ in range(count):
+            running = kern.apply(mmats, running)
+            out.append(running.sum(axis=0) % field.p)
+        return kern.elements(np.array(out))
     running = [field.one] * len(mvals)
     out = []
     for _ in range(count):
@@ -372,19 +393,29 @@ class PowerImageEvaluator:
     """Successive dense univariate images F(y, beta^i) of a homogenized
     polynomial, i = 1, 2, ...; running monomial powers make each image
     O(#F) multiplications.  The monomial values M_j(beta) are computed once
-    and reused when shift_coordinate restarts the sequence."""
+    and reused when shift_coordinate restarts the sequence.
+
+    Images are int64 vectors on the F_p numpy lane, (width, k) int64 arrays
+    on the F_{p^k} kernel (where the running values are the terms c_j M_j^i,
+    advanced by one batched product with the matrices of M_j(beta)), and
+    lists of field elements on the generic lane."""
 
     def __init__(self, field: Field, homo: HomoPoly, beta):
         self.field = field
         self.homo = homo
-        self._np = isinstance(field, PrimeField) and field.p < _NP_EVAL_MAX_P
+        self.lane = lane(field)
         coeffs = [_as_field_coeff(field, c) for c in homo.source.coeffs]
         mvals = _monomial_values(field, homo.source.exps, beta)
-        if self._np:
+        if self.lane == LANE_FP_NUMPY:
             self.mvals = mvals
             self.coeffs = np.array(coeffs, dtype=np.int64)
             self.ydegs = np.array(homo.ydegs, dtype=np.int64)
             self.running = np.ones(len(coeffs), dtype=np.int64)
+        elif self.lane == LANE_FPK_KERNEL:
+            self.mvals = field.kernel.matrices(mvals)
+            self.coeffs = field.kernel.array(coeffs)
+            self.ydegs = np.array(homo.ydegs, dtype=np.int64)
+            self.running = self.coeffs
         else:
             self.mvals = mvals
             self.coeffs = coeffs
@@ -396,19 +427,27 @@ class PowerImageEvaluator:
         """Restart at i = 1 with x_k -> omega * beta_k^i (omega not raised to
         i): each term's running power starts at omega^(e_jk), not 1."""
         col = [e[k] for e in self.homo.source.exps]
-        if self._np:
+        if self.lane == LANE_FP_NUMPY:
             self.running = _np_powmod_vec(omega, np.array(col, dtype=np.int64), self.field.p)
+        elif self.lane == LANE_FPK_KERNEL:
+            kern = self.field.kernel
+            self.running = kern.mul(self.coeffs, kern.powers(omega, max(col))[col])
         else:
             self.running = [self.field.pow_(omega, c) for c in col]
 
     def next_image(self):
         """Image at the next power; dense vector of length max_ydeg + 1."""
-        if self._np:
+        if self.lane == LANE_FP_NUMPY:
             p = self.field.p
             self.running = self.running * self.mvals % p
             buf = np.zeros(self.width, dtype=np.int64)
             np.add.at(buf, self.ydegs, self.coeffs * self.running % p)
             return buf % p
+        if self.lane == LANE_FPK_KERNEL:
+            self.running = self.field.kernel.apply(self.mvals, self.running)
+            buf = np.zeros((self.width, self.field.k), dtype=np.int64)
+            np.add.at(buf, self.ydegs, self.running)
+            return buf % self.field.p
         f = self.field
         buf = [f.zero] * self.width
         for j, m in enumerate(self.mvals):

@@ -1,13 +1,19 @@
 """Dense univariate polynomial arithmetic over the active field.
 
 Polynomials are coefficient vectors, low degree first, no trailing zeros.
-Two lanes share one public API:
+Three lanes share one public API, chosen by ``field.lane``:
 
-  * generic lane -- python lists of field elements, any field;
-  * fast lane    -- numpy int64 vectors for prime fields with p < 2^31
-                    (products of residues fit int64), used automatically.
+  * generic lane      -- python lists of field elements, any field;
+  * F_p numpy lane    -- int64 vectors for prime fields with p < 2^30 (two
+                         scaled subtractions of residues stay inside int64),
+                         used by monic_gcd;
+  * F_{p^k} kernel    -- (len, k) int64 arrays through the field's ExtKernel
+                         when (p - 1)^2 k < 2^62, used by monic_gcd,
+                         poly_mulmod and poly_powmod (so by root finding);
+                         callers pass and get lists of k-tuples, and
+                         monic_gcd also takes and returns arrays.
 
-The fast-lane GCD switches from the classical remainder loop to a block
+The F_p numpy GCD switches from the classical remainder loop to a block
 variant for large degrees: quotients are extracted from a window of the top
 2h+1 coefficients (they agree with the true quotients while remainder degrees
 stay in the window's upper half) and the accumulated 2x2 transition matrix is
@@ -21,9 +27,8 @@ import random
 import numpy as np
 
 from .errors import DivisionByZero, InvalidInput, RootDeficit, SingularSystem
-from .field import ExtField, Field, PrimeField
+from .field import LANE_FP_NUMPY, LANE_FPK_KERNEL, ExtField, Field, lane
 
-_NP_MAX_P = 1 << 30  # two scaled subtractions must stay inside int64
 _FFT_MAX_P = 1 << 24  # 8-bit digit split keeps FFT rounding below 1/4
 _FFT_MIN_SIZE = 24_000  # MAC count under which np.convolve wins
 _BLOCK_H = 512  # Lehmer window half-size
@@ -84,11 +89,24 @@ def poly_divmod(field: Field, a, b):
 
 
 def poly_mulmod(field: Field, a, b, f):
+    if lane(field) == LANE_FPK_KERNEL and len(trim(list(f))) > 1:
+        mod = _ExtModulus(field, f)
+        return trim(field.kernel.elements(mod.mulmod(mod.residue(a), mod.residue(b))))
     _, r = poly_divmod(field, poly_mul(field, a, b), f)
     return r
 
 
 def poly_powmod(field: Field, a, e: int, f):
+    if lane(field) == LANE_FPK_KERNEL and len(trim(list(f))) > 1:
+        mod = _ExtModulus(field, f)
+        base = mod.residue(a)
+        result = mod.residue([field.one])
+        while e:
+            if e & 1:
+                result = mod.mulmod(result, base)
+            base = mod.mulmod(base, base)
+            e >>= 1
+        return trim(field.kernel.elements(result))
     result = [field.one]
     base = list(a)
     while e:
@@ -324,56 +342,87 @@ def _np_add(p, a, b):
 
 
 # ---------------------------------------------------------------------------
-# extension-field fast lane: coefficients as (len, k) int64 matrices; scalar
-# multiplication is a linear map over F_p, applied as one matmul per step.
+# F_{p^k} kernel lane: coefficient vectors as (len, k) int64 arrays
 # ---------------------------------------------------------------------------
 
-_ZSTACK_CACHE: dict = {}
+
+def _ext_trim(a):
+    n = len(a)
+    while n > 0 and not a[n - 1].any():
+        n -= 1
+    return a[:n]
 
 
-def _ext_zstack(field: ExtField):
-    """Stack of k multiplication-by-z^i matrices; mul-by-a = tensordot(a, Z)."""
-    key = (field.p, field.modulus)
-    Z = _ZSTACK_CACHE.get(key)
-    if Z is None:
-        k = field.k
-        Z = np.zeros((k, k, k), dtype=np.int64)
-        for i in range(k):
-            zi = tuple(1 if j == i else 0 for j in range(k))
-            for j in range(k):
-                zj = tuple(1 if l == j else 0 for l in range(k))
-                Z[i, :, j] = field.mul(zi, zj)
-        _ZSTACK_CACHE[key] = Z
-    return Z
+def _ext_inv(field: ExtField, a):
+    """Inverse of one element given as a kernel row."""
+    return np.array(field.inv(tuple(a.tolist())), dtype=np.int64)
 
 
-def _ext_np_monic_gcd(field: ExtField, u, v):
-    p, k = field.p, field.k
-    Z = _ext_zstack(field)
-    r0 = np.array([list(c) for c in u], dtype=np.int64).reshape(-1, k)
-    r1 = np.array([list(c) for c in v], dtype=np.int64).reshape(-1, k)
-
-    def ext_trim(m):
-        n = len(m)
-        while n > 0 and not m[n - 1].any():
-            n -= 1
-        return m[:n]
-
-    r0, r1 = ext_trim(r0), ext_trim(r1)
+def _ext_monic_gcd(field: ExtField, u, v):
+    """Euclid on the kernel without inverses: each elimination step replaces
+    r0 by lc(r1) r0 - lc(r0) y^s r1, which spans the same ideal, so only the
+    last remainder is inverted, to make it monic.  Returns an array when
+    either input is one."""
+    kern, p = field.kernel, field.p
+    r0 = _ext_trim(kern.array(u) % p)
+    r1 = _ext_trim(kern.array(v) % p)
+    if len(r0) < len(r1):
+        r0, r1 = r1, r0
+    if not len(r0):
+        raise InvalidInput("gcd(0, 0) undefined")
     while len(r1):
-        d0, d1 = len(r0) - 1, len(r1) - 1
-        if d0 < d1:
-            r0, r1 = r1, r0
-            continue
-        qs = field.mul(tuple(int(x) for x in r0[d0]), field.inv(tuple(int(x) for x in r1[d1])))
-        M = np.tensordot(np.array(qs, dtype=np.int64), Z, axes=([0], [0])) % p
-        prod = r1 @ M.T % p
-        r0[d0 - d1 : d0 + 1] = (r0[d0 - d1 : d0 + 1] - prod) % p
-        r0 = ext_trim(r0)
-        if len(r0) - 1 < d1:
-            r0, r1 = r1, r0
-    inv = field.inv(tuple(int(x) for x in r0[-1]))
-    return [field.mul(tuple(int(x) for x in row), inv) for row in r0]
+        m1 = kern.matrices(r1)
+        d1 = len(r1) - 1
+        for top in range(len(r0) - 1, d1 - 1, -1):
+            q = r0[top].copy()
+            head = r0[: top + 1]
+            head[:] = np.matmul(m1[-1], head[..., None])[..., 0]
+            head[top - d1 :] -= np.matmul(m1, q)
+            head %= p
+        r0, r1 = r1, _ext_trim(r0[:d1])
+    g = kern.mul(_ext_inv(field, r0[-1]), r0)
+    return g if isinstance(u, np.ndarray) or isinstance(v, np.ndarray) else kern.elements(g)
+
+
+class _ExtModulus:
+    """Residues modulo a polynomial f of degree n >= 1 over F_{p^k} on the
+    kernel, as (n, k) arrays."""
+
+    def __init__(self, field: ExtField, f):
+        kern, p = field.kernel, field.p
+        f = _ext_trim(kern.array(f) % p)
+        n = len(f) - 1
+        # rows[i] = y^(n+i) mod f for i < n - 1, the powers a product reaches
+        rows = np.zeros((max(n - 1, 1), n, field.k), dtype=np.int64)
+        rows[0] = -kern.mul(_ext_inv(field, f[-1]), f[:n]) % p
+        for i in range(1, n - 1):
+            rows[i, 1:] = rows[i - 1, :-1]
+            rows[i] = (rows[i] + kern.mul(rows[i - 1, -1], rows[0])) % p
+        self.kern, self.p, self.n = kern, p, n
+        self.rows = kern.matrices(rows)
+        # toeplitz[m, i] = b[m - i] as a gather from b zero-padded by n - 1
+        self.idx = np.arange(2 * n - 1)[:, None] - np.arange(n)[None, :] + n - 1
+        self.padded = np.zeros((3 * n - 2, field.k), dtype=np.int64)
+
+    def residue(self, a):
+        """a mod f for a list of field elements, by long division."""
+        n = self.n
+        a = self.kern.array(a) % self.p
+        out = np.zeros((max(len(a), n), self.kern.k), dtype=np.int64)
+        out[: len(a)] = a
+        for top in range(len(out) - 1, n - 1, -1):
+            out[top - n : top] += np.matmul(self.rows[0], out[top])
+            out[top - n : top] %= self.p
+        return out[:n]
+
+    def mulmod(self, a, b):
+        n, p = self.n, self.p
+        self.padded[n - 1 : 2 * n - 1] = b
+        toeplitz = self.padded[self.idx]
+        terms = np.matmul(self.kern.matrices(a), toeplitz[..., None])[..., 0] % p
+        c = terms.sum(axis=1) % p
+        high = np.matmul(self.rows[: n - 1], c[n:, None, :, None])[..., 0] % p
+        return (c[:n] + high.sum(axis=0)) % p
 
 
 def _generic_monic_gcd(field: Field, u, v):
@@ -395,7 +444,11 @@ def _generic_monic_gcd(field: Field, u, v):
 
 def monic_gcd(field: Field, u, v):
     """Monic generator of the ideal (u, v); classical Euclid, block-accelerated
-    on large prime-field inputs.  Not both inputs may be zero."""
+    on large prime-field inputs and inverse-free on the F_{p^k} kernel.  Not
+    both inputs may be zero."""
+    ln = lane(field)
+    if ln == LANE_FPK_KERNEL:
+        return _ext_monic_gcd(field, u, v)
     u_has = any(_nonzero(c) for c in u)
     v_has = any(_nonzero(c) for c in v)
     if not u_has and not v_has:
@@ -404,11 +457,9 @@ def monic_gcd(field: Field, u, v):
         return monic(field, v) if isinstance(v, list) else _np_monic(field, v)
     if not v_has:
         return monic(field, u) if isinstance(u, list) else _np_monic(field, u)
-    if isinstance(field, PrimeField) and field.p < _NP_MAX_P:
+    if ln == LANE_FP_NUMPY:
         g = _np_monic_gcd(field.p, np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64))
         return g if isinstance(u, np.ndarray) or isinstance(v, np.ndarray) else [int(c) for c in g]
-    if isinstance(field, ExtField) and (field.p - 1) ** 2 * field.k < (1 << 62) and len(u) + len(v) > 40:
-        return _ext_np_monic_gcd(field, list(u), list(v))
     return _generic_monic_gcd(field, u, v)
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from spgcd.engine import GcdConfig, gcd, hankel_first_singular, primitive_gcd
 from spgcd.errors import InvalidInput
-from spgcd.field import PrimeField
+from spgcd.field import LANE_FP_NUMPY, LANE_FPK_KERNEL, PrimeField
 from spgcd.instances import gen_triple, random_poly
 from spgcd.oracle import dense_gcd, divides_exactly, sparse_mul
 from spgcd.sparse import SparsePoly, homogenize, lex_monic, monomial_primitive
@@ -211,6 +211,16 @@ class TestTrace:
         _, tr = gcd(FP, A, B, GcdConfig(seed=14, omega=6))
         assert tr.ext2_degree == 1 and tr.ext3_degree == 1
         assert tr.omega == 6
+        assert tr.lanes == {"II": LANE_FP_NUMPY, "IV": LANE_FP_NUMPY}
+
+    def test_extension_path_reports_kernel_lane(self):
+        # the ext_field benchmark shape: p = 1000003 without omega
+        field = PrimeField(1000003)
+        A, B, G = gen_triple(field, random.Random(9), 4, 10, 10)
+        got, tr = gcd(field, A, B, GcdConfig(seed=16, term_strategy="linear"))
+        assert got == G
+        assert tr.ext2_degree > 1 and tr.ext3_degree > 1
+        assert tr.lanes == {"II": LANE_FPK_KERNEL, "IV": LANE_FPK_KERNEL}
 
 
 class TestConfig:

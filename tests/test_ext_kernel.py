@@ -1,0 +1,124 @@
+"""The F_{p^k} kernel against the generic ExtField lane at the int64 bound.
+
+The kernel runs when (p - 1)^2 k < 2^62.  Each field below is either small
+(p in {2, 3}), mid-sized (p = 1000003) or the largest prime under that bound
+for its k, where a missed reduction would overflow int64.
+"""
+
+import math
+import random
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from spgcd.field import (
+    LANE_FPK_KERNEL,
+    LANE_GENERIC,
+    ExtField,
+    ExtKernel,
+    find_irreducible,
+    is_probable_prime,
+    lane,
+)
+from spgcd.sparse import _monomial_values
+from spgcd.unipoly import _generic_monic_gcd, monic_gcd, poly_divmod, poly_mul, poly_powmod, trim
+
+DEGREES = (1, 2, 4)
+
+
+def kernel_bound_primes(k):
+    """(largest prime inside the kernel bound, smallest prime past it)."""
+    edge = math.isqrt(((1 << 62) - 1) // k) + 1  # largest p with (p - 1)^2 k < 2^62
+    inside = edge
+    while not is_probable_prime(inside):
+        inside -= 1
+    past = edge + 1
+    while not is_probable_prime(past):
+        past += 1
+    return inside, past
+
+
+def ext_field(p, k):
+    return ExtField(p, find_irreducible(p, k, random.Random(p + k)))
+
+
+FIELDS = [ext_field(p, k) for k in DEGREES for p in (2, 3, 1000003, kernel_bound_primes(k)[0])]
+
+
+def elements(field):
+    return st.tuples(*[st.integers(0, field.p - 1)] * field.k)
+
+
+def polys(field, max_len):
+    return st.lists(elements(field), max_size=max_len)
+
+
+def reference_powmod(field, a, e, f):
+    result, base = [field.one], list(a)
+    while e:
+        if e & 1:
+            result = poly_divmod(field, poly_mul(field, result, base), f)[1]
+        base = poly_divmod(field, poly_mul(field, base, base), f)[1]
+        e >>= 1
+    return result
+
+
+PROPERTY = settings(max_examples=60, deadline=None, database=None)
+
+
+def test_lane_follows_the_bound():
+    for k in DEGREES:
+        inside, past = kernel_bound_primes(k)
+        assert ExtKernel.fits(inside, k) and not ExtKernel.fits(past, k)
+        assert lane(ext_field(inside, k)) == LANE_FPK_KERNEL
+        beyond = ext_field(past, k)
+        assert beyond.kernel is None and lane(beyond) == LANE_GENERIC
+
+
+@PROPERTY
+@given(st.data())
+def test_mul(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    a = data.draw(polys(field, 6))
+    b = data.draw(st.lists(elements(field), min_size=len(a), max_size=len(a)))
+    kern = field.kernel
+    got = kern.elements(kern.mul(kern.array(a), kern.array(b)))
+    assert got == [field.mul(x, y) for x, y in zip(a, b)]
+
+
+@PROPERTY
+@given(st.data())
+def test_monomial_values(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    n = data.draw(st.integers(1, 3))
+    exps = data.draw(st.lists(st.tuples(*[st.integers(0, 12)] * n), min_size=1, max_size=6))
+    point = data.draw(st.tuples(*[elements(field)] * n))
+    want = []
+    for e in exps:
+        v = field.one
+        for x, k in zip(point, e):
+            if k:
+                v = field.mul(v, field.pow_(x, k))
+        want.append(v)
+    assert field.kernel.elements(_monomial_values(field, exps, point)) == want
+
+
+@PROPERTY
+@given(st.data())
+def test_monic_gcd(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    w, u, v = (data.draw(polys(field, 5)) for _ in range(3))
+    u, v = poly_mul(field, w, u), poly_mul(field, w, v)
+    assume(trim(list(u)) or trim(list(v)))
+    assert monic_gcd(field, u, v) == _generic_monic_gcd(field, u, v)
+
+
+@PROPERTY
+@given(st.data())
+def test_poly_powmod(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    a = data.draw(polys(field, 6))
+    f = data.draw(polys(field, 6))
+    assume(len(trim(list(f))) >= 2)
+    e = data.draw(st.integers(0, 1 << 40))
+    assert poly_powmod(field, a, e, f) == reference_powmod(field, a, e, f)

@@ -3,9 +3,18 @@ import random
 import pytest
 
 from spgcd.errors import ZeroPolynomial, ZeroScale
-from spgcd.field import ExtField, PrimeField
+from spgcd.field import (
+    LANE_FP_NUMPY,
+    LANE_FPK_KERNEL,
+    LANE_GENERIC,
+    ExtField,
+    PrimeField,
+    find_irreducible,
+    lane,
+)
 from spgcd.instances import random_poly
 from spgcd.sparse import (
+    PowerImageEvaluator,
     SparsePoly,
     choose_isolating_vector,
     diversify,
@@ -196,6 +205,59 @@ class TestEvalAtPowers:
                     for i in range(1, 6)
                 ]
                 assert got == naive
+
+
+def ext(p, k):
+    return ExtField(p, find_irreducible(p, k, random.Random(k)))
+
+
+# (field, lane): one field per lane; F_{(2^31-1)^2} is past the kernel's
+# int64 bound (p - 1)^2 k < 2^62
+EVALUATOR_FIELDS = [
+    (FP, LANE_FP_NUMPY),
+    (ext(1000003, 2), LANE_FPK_KERNEL),
+    (ext(1000003, 3), LANE_FPK_KERNEL),
+    (ext(1000003, 4), LANE_FPK_KERNEL),
+    (PrimeField(2**31 - 1), LANE_GENERIC),
+    (ext(2**31 - 1, 2), LANE_GENERIC),
+]
+
+
+def image_elements(field, img):
+    """An image as a list of field elements, whatever its lane's type."""
+    if lane(field) == LANE_FPK_KERNEL:
+        return field.kernel.elements(img)
+    return [int(c) for c in img] if lane(field) == LANE_FP_NUMPY else list(img)
+
+
+class TestPowerImageEvaluator:
+    @pytest.mark.parametrize("field, lane_name", EVALUATOR_FIELDS, ids=str)
+    def test_images_match_naive(self, field, lane_name):
+        assert lane(field) == lane_name
+        rng = random.Random(12)
+        n = 3
+        support = random_poly(F11, rng, n, 9, 6).exps
+        f = SparsePoly.from_terms(field, n, [(field.rand_unit(rng), e) for e in support])
+        homo = homogenize(f, (1, 2, 3))
+        beta = tuple(field.rand_unit(rng) for _ in range(n))
+        omega = field.rand_unit(rng)
+
+        def naive(i, shifted=None):
+            point = [field.pow_(b, i) for b in beta]
+            if shifted is not None:
+                point[shifted] = field.mul(point[shifted], omega)
+            img = [field.zero] * (homo.max_ydeg + 1)
+            for yd, layer in homo.layers:
+                img[yd] = layer.evaluate(field, tuple(point))
+            return img
+
+        ev = PowerImageEvaluator(field, homo, beta)
+        for i in range(1, 5):
+            assert image_elements(field, ev.next_image()) == naive(i)
+        for k in range(n):
+            ev.shift_coordinate(k, omega)
+            for i in range(1, 5):
+                assert image_elements(field, ev.next_image()) == naive(i, k)
 
 
 class TestLexMonic:
