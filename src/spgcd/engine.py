@@ -6,8 +6,9 @@ Stage II   probe univariate GCD images at powers of a random point and bound
            each y-layer's term count by its first singular Hankel matrix;
 Stage III  size the working field and pick the shift element omega and the
            evaluation point alpha for the grid;
-Stage IV   take monic univariate GCDs over the whole (n+1) x 2T grid, scaled
-           so every image is an exact evaluation of the target layers;
+Stage IV   evaluate the whole (n+1) x 2T grid as two arrays of image rows
+           and take their monic univariate GCDs as one batch, scaled so
+           every image is an exact evaluation of the target layers;
 Stage V    sparse-interpolate each layer on nodes shared by all grid rows;
 Stage VI   sum the layers, strip the monomial content, normalize lex-monic.
 
@@ -26,6 +27,15 @@ point of row k + 1 each is R(alpha^i with x_k -> omega x_k) = 0 for a
 nonzero R, which stays nonzero and of the same degree in alpha, so each row
 has the bad sets the sizing assumes.  Shared nodes only drop events: only
 the base row's nodes must be distinct, and no coefficient has to be.
+
+The grid's GCDs.  At generic points every image pair of the grid follows
+one remainder degree sequence, so on the F_p numpy lane Stage IV runs all
+of them in lockstep as 2-D arrays (unipoly.monic_gcd_rows).  A row whose
+remainder degree departs from the batch's leaves it and is finished from
+its inputs by the per-row monic_gcd, so, as with one GCD per point, only a
+final GCD degree other than Stage II's aborts the attempt.  Other lanes
+run monic_gcd row by row; StageTrace.lockstep_rows and fallback_rows count
+both kinds of row.
 
 Every detectable inconsistency (vanishing leading coefficient, image degree
 drift, interpolation failure) aborts the attempt; the driver retries with
@@ -48,6 +58,7 @@ from .field import (
     ExtField,
     Field,
     PrimeField,
+    elements,
     find_irreducible,
     find_primitive_root,
     lane,
@@ -70,7 +81,7 @@ from .sparse import (
 )
 # Not called here; perfbench/run.py wraps engine.diversify and engine.undiversify by name.
 from .sparse import diversify, undiversify  # noqa: F401
-from .unipoly import monic_gcd
+from .unipoly import monic_gcd, monic_gcd_rows
 
 
 @dataclass
@@ -112,7 +123,9 @@ class TermBounds:
 class StageTrace:
     """Observability record for one primitive_gcd call.  ``lanes`` maps
     stages "II" and "IV" to the arithmetic lane (``field.lane``) of the
-    field their images and univariate GCDs ran in."""
+    field their images and univariate GCDs ran in.  ``lockstep_rows`` and
+    ``fallback_rows`` count Stage IV grid rows, summed over attempts, whose
+    GCD finished in the lockstep Euclid or ran the per-row monic_gcd."""
 
     s: tuple | None = None
     isolated_from: str | None = None
@@ -126,6 +139,8 @@ class StageTrace:
     gcd_image_degree: int | None = None
     term_bounds: TermBounds | None = None
     retries: int = 0
+    lockstep_rows: int = 0
+    fallback_rows: int = 0
     lanes: dict = dataclass_field(default_factory=dict)
     timings: dict = dataclass_field(default_factory=dict)
     failures: list = dataclass_field(default_factory=list)
@@ -210,24 +225,39 @@ def hankel_first_singular(field: Field, values, T: int):
 # ---------------------------------------------------------------------------
 
 
+def _nonzero(field, a) -> np.ndarray:
+    """Mask of the nonzero elements of an int64 array of field elements
+    (over F_{p^k} the last axis holds one element's coefficients)."""
+    return (a != 0).any(axis=-1) if isinstance(field, ExtField) else a != 0
+
+
+def _scale_rows(field, X, scales) -> list:
+    """Row i of the int64 array X times scales[i], as lists of field elements."""
+    ln = lane(field)
+    if ln == LANE_FP_NUMPY:
+        return (X * np.array(scales, dtype=np.int64)[:, None] % field.p).tolist()
+    if ln == LANE_FPK_KERNEL:
+        kern = field.kernel
+        return elements(field, kern.mul(kern.array(scales)[:, None], X))
+    return [[field.mul(c, s) for c in row] for row, s in zip(elements(field, X), scales)]
+
+
 class _ImageStream:
-    """Scaled GCD images eta_i = (prod(point))^(i*d) * monicgcd(F1_i, F2_i)
-    at successive powers of one evaluation point.  A vanishing leading
+    """Stage II's scaled GCD images eta_i = (prod(point))^(i*d) *
+    monicgcd(F1_i, F2_i) at successive powers of one evaluation point, taken
+    one at a time as the Hankel probe grows.  A vanishing leading
     coefficient or a change in image degree aborts the attempt."""
 
-    def __init__(self, field, homo1, homo2, point, d, stage):
+    def __init__(self, field, homo1, homo2, point, d):
         self.field = field
-        self.stage = stage
         self.ev1 = PowerImageEvaluator(field, homo1, point)
         self.ev2 = PowerImageEvaluator(field, homo2, point)
         self.top1 = homo1.max_ydeg
         self.top2 = homo2.max_ydeg
-        self.d = d
         self.scale_step = field.pow_(prod(field, point), d)
         self.scale = field.one
         self.images = []
         self.gcd_degree = None
-        self.lane = lane(field)
 
     def ensure(self, count: int):
         field = self.field
@@ -235,39 +265,20 @@ class _ImageStream:
             img1 = self.ev1.next_image()
             img2 = self.ev2.next_image()
             if not np.any(img1[self.top1]) or not np.any(img2[self.top2]):
-                raise _StageFailure(self.stage, "leading coefficient vanished")
+                raise _StageFailure("II", "leading coefficient vanished")
             g = monic_gcd(field, img1, img2)
             deg = len(g) - 1
             if self.gcd_degree is None:
                 self.gcd_degree = deg
             elif deg != self.gcd_degree:
-                raise _StageFailure(self.stage, "image degree disagreement")
+                raise _StageFailure("II", "image degree disagreement")
             self.scale = field.mul(self.scale, self.scale_step)
-            if self.lane == LANE_FP_NUMPY:
-                eta = g * self.scale % field.p
-            elif self.lane == LANE_FPK_KERNEL:
-                eta = field.kernel.elements(field.kernel.mul(self.scale, g))
-            else:
-                eta = [field.mul(c, self.scale) for c in g]
-            self.images.append(eta)
-
-    def shift_coordinate(self, k: int, omega):
-        """Start a new row: coordinate k of every point gets one factor omega,
-        so prod(point) gains omega and the scale starts at omega^d."""
-        self.ev1.shift_coordinate(k, omega)
-        self.ev2.shift_coordinate(k, omega)
-        self.scale = self.field.pow_(omega, self.d)
-        self.images = []
+            self.images.append(_scale_rows(field, np.array(g, dtype=np.int64)[None], [self.scale])[0])
 
     def support(self, index: int):
-        eta = self.images[index]
-        if self.lane == LANE_FP_NUMPY:
-            return set(int(x) for x in np.nonzero(eta)[0])
-        return set(i for i, c in enumerate(eta) if c != self.field.zero)
+        return set(i for i, c in enumerate(self.images[index]) if c != self.field.zero)
 
     def values_at(self, e: int):
-        if self.lane == LANE_FP_NUMPY:
-            return [int(img[e]) if e < len(img) else 0 for img in self.images]
         z = self.field.zero
         return [img[e] if e < len(img) else z for img in self.images]
 
@@ -329,8 +340,8 @@ def _run_primitive(field: PrimeField, A, B, cfg: GcdConfig, rng, trace: StageTra
     E2 = field if ext2_deg == 1 else ExtField(p, find_irreducible(p, ext2_deg, rng))
     sigma = tuple(E2.rand_unit(rng) for _ in range(n))
     trace.sigma = sigma
-    stream = _ImageStream(E2, homo1, homo2, sigma, d, "II")
-    trace.lanes["II"] = stream.lane
+    stream = _ImageStream(E2, homo1, homo2, sigma, d)
+    trace.lanes["II"] = lane(E2)
 
     T = 1
     first_singular: dict = {}
@@ -377,35 +388,49 @@ def _run_primitive(field: PrimeField, A, B, cfg: GcdConfig, rng, trace: StageTra
     trace.alpha = alpha
     trace.timings["III"] = trace.timings.get("III", 0.0) + time.perf_counter() - t0
 
-    # Stage IV: univariate GCDs over the full (n+1) x 2T grid; one stream at
-    # alpha, restarted per row k + 1 with coordinate k times omega
+    # Stage IV: the (n+1) x 2T grid's image pairs as two arrays, one row per
+    # point, row-major by grid row; one batched monic GCD and array checks
     t0 = time.perf_counter()
-    allowed = set(layer_ydegs) | {e_top}
-    st = _ImageStream(E3, homo1, homo2, alpha, d, "IV")
-    trace.lanes["IV"] = st.lane
-    row_values = []
-    for k in range(-1, n):
-        if k >= 0:
-            st.shift_coordinate(k, omega)
-        st.ensure(2 * global_T)
-        if st.gcd_degree != e_top:
-            raise _StageFailure("IV", f"image degree {st.gcd_degree} != {e_top}")
-        for i in range(len(st.images)):
-            if not st.support(i) <= allowed:
-                raise _StageFailure("IV", "image support outside Stage II layers")
-        row_values.append({e: st.values_at(e) for e in layer_ydegs})
+    count = 2 * global_T
+    U = PowerImageEvaluator(E3, homo1, alpha).grid(count, omega)
+    V = PowerImageEvaluator(E3, homo2, alpha).grid(count, omega)
+    trace.lanes["IV"] = lane(E3)
+    if not (_nonzero(E3, U[:, homo1.max_ydeg]).all() and _nonzero(E3, V[:, homo2.max_ydeg]).all()):
+        raise _StageFailure("IV", "leading coefficient vanished")
+    G, lockstep = monic_gcd_rows(E3, U, V)
+    trace.lockstep_rows += lockstep
+    trace.fallback_rows += len(G) - lockstep
+    support = _nonzero(E3, G)
+    degrees = support.shape[1] - 1 - np.argmax(support[:, ::-1], axis=1)
+    if np.any(degrees != degrees[0]):
+        raise _StageFailure("IV", "image degree disagreement")
+    if degrees[0] != e_top:
+        raise _StageFailure("IV", f"image degree {degrees[0]} != {e_top}")
+    support[:, list(layer_ydegs) + [e_top]] = False
+    if support.any():
+        raise _StageFailure("IV", "image support outside Stage II layers")
+    # point i of row 0 scales by (prod alpha)^(i d), of row k + 1 also by omega^d
+    step = E3.pow_(prod(E3, alpha), d)
+    scales = [step]
+    for _ in range(count - 1):
+        scales.append(E3.mul(scales[-1], step))
+    omega_d = E3.pow_(omega, d)
+    scales += [E3.mul(omega_d, s) for s in scales] * n
+    values = _scale_rows(E3, G[:, list(layer_ydegs)], scales)
     trace.timings["IV"] = trace.timings.get("IV", 0.0) + time.perf_counter() - t0
 
     # Stage V: per-layer interpolation
     t0 = time.perf_counter()
     layers = []
-    for e, T_e in zip(layer_ydegs, bounds):
+    for l, (e, T_e) in enumerate(zip(layer_ydegs, bounds)):
         grid = EvalGrid(
             alpha=alpha,
             omega=omega,
             T=T_e,
-            base_row=tuple(row_values[0][e][: 2 * T_e]),
-            shifted_rows=tuple(tuple(row_values[k + 1][e][: 2 * T_e]) for k in range(n)),
+            base_row=tuple(values[i][l] for i in range(2 * T_e)),
+            shifted_rows=tuple(
+                tuple(values[(k + 1) * count + i][l] for i in range(2 * T_e)) for k in range(n)
+            ),
         )
         try:
             layers.append(interpolate(E3, grid, 2 * d, rng))

@@ -360,10 +360,6 @@ class ExtKernel:
         """(len(elts), k) array of a sequence of k-tuples."""
         return np.array(elts, dtype=np.int64).reshape(-1, self.k)
 
-    def elements(self, a: np.ndarray) -> list:
-        """Inverse of array: a list of k-tuples of ints."""
-        return [tuple(row) for row in a.tolist()]
-
     def matrices(self, a) -> np.ndarray:
         """Multiplication matrices (..., k, k) of the elements a (..., k)."""
         a = np.asarray(a, dtype=np.int64)
@@ -376,6 +372,27 @@ class ExtKernel:
     def mul(self, a, b) -> np.ndarray:
         """Elementwise (broadcasting) product."""
         return self.apply(self.matrices(a), b)
+
+    def pow(self, x, e) -> np.ndarray:
+        """x^e for the elements x (..., k) and exponents e (rows, ...), whose
+        trailing shape broadcasts against x's leading one; the result is
+        (rows, ..., k).  Gathers from a power table when it has no more rows
+        than e, else runs square-and-multiply over the exponent bits, so
+        time and memory never grow linearly with the largest exponent."""
+        x = np.asarray(x, dtype=np.int64)
+        e = np.array(e, dtype=np.int64)
+        top = int(e.max(initial=0))
+        if top < len(e):
+            table = self.powers(x, top)
+            table = table.reshape(table.shape[:1] + (1,) * (e.ndim + 1 - table.ndim) + table.shape[1:])
+            return np.take_along_axis(table, e[..., None], axis=0)
+        out = np.zeros(e.shape + (self.k,), dtype=np.int64)
+        out[..., 0] = 1
+        while e.any():
+            out = np.where((e & 1).astype(bool)[..., None], self.mul(out, x), out)
+            x = self.mul(x, x)
+            e >>= 1
+        return out
 
     def powers(self, x, e: int) -> np.ndarray:
         """(e + 1, ..., k) table of x^0, ..., x^e for the elements x (..., k),
@@ -402,6 +419,33 @@ def lane(field: Field) -> str:
     if isinstance(field, PrimeField):
         return LANE_FP_NUMPY if field.p < NP_MAX_P else LANE_GENERIC
     return LANE_FPK_KERNEL if field.kernel is not None else LANE_GENERIC
+
+
+def np_powmod(base, e, p: int) -> np.ndarray:
+    """base^e mod p elementwise (broadcasting) for p < NP_MAX_P, by one
+    square-and-multiply over the bits of e."""
+    e = np.array(e, dtype=np.int64)
+    base = np.asarray(base, dtype=np.int64) % p
+    out = np.ones(np.broadcast_shapes(base.shape, e.shape), dtype=np.int64)
+    while e.any():
+        out = np.where((e & 1).astype(bool), out * base % p, out)
+        base = base * base % p
+        e >>= 1
+    return out
+
+
+def elements(field: Field, a) -> list:
+    """The field elements of an int64 array: ints over F_p, k-tuples (the
+    last axis) over F_{p^k}, nested in lists along the other axes."""
+    out = np.asarray(a).tolist()
+    if isinstance(field, PrimeField):
+        return out
+    depth = np.ndim(a) - 1
+
+    def tuples(x, level):
+        return tuple(x) if level == depth else [tuples(y, level + 1) for y in x]
+
+    return tuples(out, 0)
 
 
 def prod(field: Field, elts) -> object:

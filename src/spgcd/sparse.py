@@ -12,7 +12,17 @@ import random
 import numpy as np
 
 from .errors import InvalidInput, SpgcdError, ZeroPolynomial, ZeroScale
-from .field import LANE_FP_NUMPY, LANE_FPK_KERNEL, LANE_GENERIC, ExtField, Field, PrimeField, lane
+from .field import (
+    LANE_FP_NUMPY,
+    LANE_FPK_KERNEL,
+    LANE_GENERIC,
+    ExtField,
+    Field,
+    PrimeField,
+    elements,
+    lane,
+    np_powmod,
+)
 
 
 def _as_field_coeff(field: Field, c):
@@ -305,36 +315,23 @@ def undiversify(field: Field, f: SparsePoly, zeta) -> SparsePoly:
 # ---------------------------------------------------------------------------
 
 
-def _np_powmod_vec(base: int, exps: np.ndarray, p: int) -> np.ndarray:
-    out = np.ones(len(exps), dtype=np.int64)
-    b = base % p
-    e = exps.copy()
-    while np.any(e):
-        odd = (e & 1).astype(bool)
-        out[odd] = out[odd] * b % p
-        b = b * b % p
-        e >>= 1
-    return out
-
-
 def _monomial_values(field: Field, exps, point):
-    """M_j(point) for every exponent vector, in term order.  On the F_{p^k}
-    kernel the coordinates' powers come from one table, gathered by the
-    exponent matrix."""
+    """M_j(point) for every exponent vector, in term order: the powers of all
+    coordinates for the whole exponent matrix at once (np_powmod over F_p,
+    ExtKernel.pow over F_{p^k}), then one product across its columns."""
     ln = lane(field) if exps else LANE_GENERIC
     if ln == LANE_FP_NUMPY:
-        mat = np.array(exps, dtype=np.int64)
+        p = field.p
+        factors = np_powmod(np.array(point, dtype=np.int64), np.array(exps, dtype=np.int64), p)
         out = np.ones(len(exps), dtype=np.int64)
-        for l in range(mat.shape[1]):
-            out = out * _np_powmod_vec(point[l], mat[:, l], field.p) % field.p
+        for l in range(factors.shape[1]):
+            out = out * factors[:, l] % p
         return out
     if ln == LANE_FPK_KERNEL:
         kern = field.kernel
-        mat = np.array(exps, dtype=np.int64)
-        table = kern.powers(kern.array(point), int(mat.max(initial=0)))
-        factors = table[mat, np.arange(mat.shape[1])]
+        factors = kern.pow(kern.array(point), np.array(exps, dtype=np.int64))
         out = kern.array([field.one] * len(exps))
-        for l in range(mat.shape[1]):
+        for l in range(factors.shape[1]):
             out = kern.mul(out, factors[:, l])
         return out
     vals = []
@@ -377,7 +374,7 @@ def eval_at_powers(field: Field, f: SparsePoly, alpha, count: int):
         for _ in range(count):
             running = kern.apply(mmats, running)
             out.append(running.sum(axis=0) % field.p)
-        return kern.elements(np.array(out))
+        return elements(field, np.array(out))
     running = [field.one] * len(mvals)
     out = []
     for _ in range(count):
@@ -391,14 +388,15 @@ def eval_at_powers(field: Field, f: SparsePoly, alpha, count: int):
 
 class PowerImageEvaluator:
     """Successive dense univariate images F(y, beta^i) of a homogenized
-    polynomial, i = 1, 2, ...; running monomial powers make each image
-    O(#F) multiplications.  The monomial values M_j(beta) are computed once
-    and reused when shift_coordinate restarts the sequence.
+    polynomial, i = 1, 2, ...; running term values make each image O(#F)
+    multiplications.  The monomial values M_j(beta) are computed once, and
+    grid reuses them for the sequences with one coordinate shifted.
 
-    Images are int64 vectors on the F_p numpy lane, (width, k) int64 arrays
-    on the F_{p^k} kernel (where the running values are the terms c_j M_j^i,
-    advanced by one batched product with the matrices of M_j(beta)), and
-    lists of field elements on the generic lane."""
+    Images are int64 vectors on the F_p numpy lane and (width, k) int64
+    arrays on the F_{p^k} kernel, where the running values are the terms
+    c_j M_j(beta)^i, advanced by one batched product and summed by y-degree
+    with one reduceat.  The generic lane keeps the powers M_j^i and returns
+    lists of field elements."""
 
     def __init__(self, field: Field, homo: HomoPoly, beta):
         self.field = field
@@ -406,51 +404,76 @@ class PowerImageEvaluator:
         self.lane = lane(field)
         coeffs = [_as_field_coeff(field, c) for c in homo.source.coeffs]
         mvals = _monomial_values(field, homo.source.exps, beta)
-        if self.lane == LANE_FP_NUMPY:
-            self.mvals = mvals
-            self.coeffs = np.array(coeffs, dtype=np.int64)
-            self.ydegs = np.array(homo.ydegs, dtype=np.int64)
-            self.running = np.ones(len(coeffs), dtype=np.int64)
-        elif self.lane == LANE_FPK_KERNEL:
-            self.mvals = field.kernel.matrices(mvals)
-            self.coeffs = field.kernel.array(coeffs)
-            self.ydegs = np.array(homo.ydegs, dtype=np.int64)
-            self.running = self.coeffs
-        else:
+        self.width = homo.max_ydeg + 1
+        if self.lane == LANE_GENERIC:
             self.mvals = mvals
             self.coeffs = coeffs
             self.ydegs = homo.ydegs
             self.running = [field.one] * len(coeffs)
-        self.width = homo.max_ydeg + 1
-
-    def shift_coordinate(self, k: int, omega):
-        """Restart at i = 1 with x_k -> omega * beta_k^i (omega not raised to
-        i): each term's running power starts at omega^(e_jk), not 1."""
-        col = [e[k] for e in self.homo.source.exps]
+            return
+        # terms sorted by y-degree, so image[ydeg] is one reduceat segment
+        ydegs = np.array(homo.ydegs, dtype=np.int64)
+        order = np.argsort(ydegs, kind="stable")
+        ydegs = ydegs[order]
+        self.starts = np.flatnonzero(np.r_[True, ydegs[1:] != ydegs[:-1]])
+        self.segment_ydegs = ydegs[self.starts]
+        self.exps = np.array(homo.source.exps, dtype=np.int64)[order]
         if self.lane == LANE_FP_NUMPY:
-            self.running = _np_powmod_vec(omega, np.array(col, dtype=np.int64), self.field.p)
-        elif self.lane == LANE_FPK_KERNEL:
-            kern = self.field.kernel
-            self.running = kern.mul(self.coeffs, kern.powers(omega, max(col))[col])
+            self.mvals = mvals[order]
+            self.coeffs = np.array(coeffs, dtype=np.int64)[order]
         else:
-            self.running = [self.field.pow_(omega, c) for c in col]
+            self.mvals = field.kernel.matrices(mvals[order])
+            self.coeffs = field.kernel.array(coeffs)[order]
+        self.running = self.coeffs
+
+    def _starts(self, omega):
+        """Running values at i = 0 of the sequences with x_k -> omega * x_k,
+        one row per k (fast lanes): term j starts at c_j omega^(e_jk)."""
+        if self.lane == LANE_FP_NUMPY:
+            return self.coeffs * np_powmod(omega, self.exps.T, self.field.p) % self.field.p
+        kern = self.field.kernel
+        return kern.mul(self.coeffs, kern.pow(omega, self.exps).transpose(1, 0, 2))
+
+    def _advance(self, running):
+        if self.lane == LANE_FP_NUMPY:
+            return running * self.mvals % self.field.p
+        return self.field.kernel.apply(self.mvals, running)
+
+    def _images(self, running):
+        """Images (rows, width[, k]) of running term values (rows, #F[, k])."""
+        sums = np.add.reduceat(running, self.starts, axis=1)
+        out = np.zeros((len(running), self.width) + running.shape[2:], dtype=np.int64)
+        out[:, self.segment_ydegs] = sums % self.field.p
+        return out
 
     def next_image(self):
         """Image at the next power; dense vector of length max_ydeg + 1."""
-        if self.lane == LANE_FP_NUMPY:
-            p = self.field.p
-            self.running = self.running * self.mvals % p
-            buf = np.zeros(self.width, dtype=np.int64)
-            np.add.at(buf, self.ydegs, self.coeffs * self.running % p)
-            return buf % p
-        if self.lane == LANE_FPK_KERNEL:
-            self.running = self.field.kernel.apply(self.mvals, self.running)
-            buf = np.zeros((self.width, self.field.k), dtype=np.int64)
-            np.add.at(buf, self.ydegs, self.running)
-            return buf % self.field.p
+        if self.lane != LANE_GENERIC:
+            self.running = self._advance(self.running)
+            return self._images(self.running[None])[0]
         f = self.field
         buf = [f.zero] * self.width
         for j, m in enumerate(self.mvals):
             self.running[j] = f.mul(self.running[j], m)
             buf[self.ydegs[j]] = f.add(buf[self.ydegs[j]], f.mul(self.coeffs[j], self.running[j]))
         return buf
+
+    def grid(self, count: int, omega):
+        """The images at i = 1..count of the unshifted sequence and then of
+        each sequence with x_k -> omega * beta_k^i (omega not raised to i),
+        k = 0..n-1, as one int64 array of (n + 1) * count rows, row-major by
+        sequence: (rows, width) over F_p, (rows, width, k) over F_{p^k}.
+        Independent of earlier next_image calls."""
+        if self.lane == LANE_GENERIC:
+            field, exps = self.field, self.homo.source.exps
+            images = []
+            for k in range(-1, self.homo.nvars):
+                self.running = [field.one if k < 0 else field.pow_(omega, e[k]) for e in exps]
+                images.extend(self.next_image() for _ in range(count))
+            return np.array(images, dtype=np.int64)
+        running = np.concatenate([self.coeffs[None], self._starts(omega)])
+        out = np.empty((len(running), count, self.width) + running.shape[2:], dtype=np.int64)
+        for i in range(count):
+            running = self._advance(running)
+            out[:, i] = self._images(running)
+        return out.reshape((-1,) + out.shape[2:])

@@ -6,7 +6,7 @@ Three lanes share one public API, chosen by ``field.lane``:
   * generic lane      -- python lists of field elements, any field;
   * F_p numpy lane    -- int64 vectors for prime fields with p < 2^30 (two
                          scaled subtractions of residues stay inside int64),
-                         used by monic_gcd;
+                         used by monic_gcd and monic_gcd_rows;
   * F_{p^k} kernel    -- (len, k) int64 arrays through the field's ExtKernel
                          when (p - 1)^2 k < 2^62, used by monic_gcd,
                          poly_mulmod and poly_powmod (so by root finding);
@@ -18,6 +18,16 @@ variant for large degrees: quotients are extracted from a window of the top
 2h+1 coefficients (they agree with the true quotients while remainder degrees
 stay in the window's upper half) and the accumulated 2x2 transition matrix is
 applied to the full vectors with batched multiplications.
+
+monic_gcd_rows takes a batch of GCDs as two int64 arrays, one pair of rows
+per GCD.  On the F_p numpy lane the rows run in lockstep, since at generic
+points they share one remainder degree sequence: while degrees are
+_BLOCK_MIN_DEG or more, the window steps of all rows run as one array and
+each row's matrix is applied by FFT; below it, each step replaces r0 by
+lc(r1) r0 - lc(r0) y^s r1 in all rows at once, so entries stay below
+p^2 < 2^60, and one batched inversion at the end makes the results monic.
+A row whose remainder degree departs from the batch's leaves and is
+finished from its inputs by monic_gcd.  Other lanes loop monic_gcd.
 """
 
 from __future__ import annotations
@@ -27,7 +37,16 @@ import random
 import numpy as np
 
 from .errors import DivisionByZero, InvalidInput, RootDeficit, SingularSystem
-from .field import LANE_FP_NUMPY, LANE_FPK_KERNEL, ExtField, Field, lane
+from .field import (
+    LANE_FP_NUMPY,
+    LANE_FPK_KERNEL,
+    LANE_GENERIC,
+    ExtField,
+    Field,
+    elements,
+    lane,
+    np_powmod,
+)
 
 _FFT_MAX_P = 1 << 24  # 8-bit digit split keeps FFT rounding below 1/4
 _FFT_MIN_SIZE = 24_000  # MAC count under which np.convolve wins
@@ -91,7 +110,7 @@ def poly_divmod(field: Field, a, b):
 def poly_mulmod(field: Field, a, b, f):
     if lane(field) == LANE_FPK_KERNEL and len(trim(list(f))) > 1:
         mod = _ExtModulus(field, f)
-        return trim(field.kernel.elements(mod.mulmod(mod.residue(a), mod.residue(b))))
+        return trim(elements(field, mod.mulmod(mod.residue(a), mod.residue(b))))
     _, r = poly_divmod(field, poly_mul(field, a, b), f)
     return r
 
@@ -106,7 +125,7 @@ def poly_powmod(field: Field, a, e: int, f):
                 result = mod.mulmod(result, base)
             base = mod.mulmod(base, base)
             e >>= 1
-        return trim(field.kernel.elements(result))
+        return trim(elements(field, result))
     result = [field.one]
     base = list(a)
     while e:
@@ -126,15 +145,20 @@ def monic(field: Field, f):
 
 
 # ---------------------------------------------------------------------------
-# fast-lane helpers (numpy int64 over F_p, p < 2^31)
+# fast-lane helpers (numpy int64 over F_p, p < 2^30)
 # ---------------------------------------------------------------------------
 
 
 def _np_trim(a):
-    n = len(a)
-    while n > 0 and a[n - 1] == 0:
-        n -= 1
-    return a[:n]
+    nonzero = np.flatnonzero(a)
+    return a[: nonzero[-1] + 1] if len(nonzero) else a[:0]
+
+
+def _np_rem(a, p):
+    """a mod p in place for an int64 array of either sign: numpy runs
+    a - (a // p) p about twice as fast as a % p."""
+    a -= a // p * p
+    return a
 
 
 def _mul_fft(a, b, p):
@@ -211,7 +235,7 @@ def _np_quotient(p, w0, d0, w1, d1):
             q[k] = c
             seg = top[k : k + d1 + 1]
             seg -= c * div
-            seg %= p
+            _np_rem(seg, p)
     return q
 
 
@@ -246,18 +270,18 @@ def _np_euclid_window(p, w0, d0, w1, d1, h):
             np.subtract(P, N, out=N)
             if q1:
                 N[:, 1:] -= q1 * C[:, :-1]
-            N %= p
+            _np_rem(N, p)
         elif len(q) == 1:
             np.multiply(C, int(q[0]), out=N)
             np.subtract(P, N, out=N)
-            N %= p
+            _np_rem(N, p)
         else:
             width = max(d1 + 1, steps + 1)
             for row in range(3):
                 t = _np_mul(p, q, C[row, :width])
                 N[row] = P[row]
                 N[row, : len(t)] -= t
-            N %= p
+            _np_rem(N, p)
         P, C, N = C, N, P
         d0, d1 = d1, _np_scan_degree(C[0], d1 - 1)
         steps += 1
@@ -284,7 +308,7 @@ def _np_classical_gcd(p, r0, r1):
             seg[: d1 + 1] -= int(q[0]) * buf1[: d1 + 1]
         else:
             seg -= _np_mul(p, q, buf1[: d1 + 1])
-        seg %= p
+        _np_rem(seg, p)
         buf0, buf1 = buf1, buf0
         d0, d1 = d1, _np_scan_degree(buf1[0 : d0 + 1], d0 - 1)
     return buf0[: d0 + 1].copy()
@@ -309,7 +333,7 @@ def _np_monic_gcd(p, u, v):
             t = _np_mul(p, q, r1)
             nr = r0.copy()
             nr[: len(t)] -= t
-            r0, r1 = r1, _np_trim(nr % p)
+            r0, r1 = r1, _np_trim(_np_rem(nr, p))
             continue
         (m00, m01, m10, m11), steps = _np_euclid_window(
             p, r0[tau:], d0 - tau, r1[tau:], d1 - tau, h
@@ -319,7 +343,7 @@ def _np_monic_gcd(p, u, v):
             t = _np_mul(p, q, r1)
             nr = r0.copy()
             nr[: len(t)] -= t
-            r0, r1 = r1, _np_trim(nr % p)
+            r0, r1 = r1, _np_trim(_np_rem(nr, p))
             continue
         nr0 = _np_add(p, _np_mul(p, _np_trim(m00), r0), _np_mul(p, _np_trim(m01), r1))
         nr1 = _np_add(p, _np_mul(p, _np_trim(m10), r0), _np_mul(p, _np_trim(m11), r1))
@@ -381,7 +405,7 @@ def _ext_monic_gcd(field: ExtField, u, v):
             head %= p
         r0, r1 = r1, _ext_trim(r0[:d1])
     g = kern.mul(_ext_inv(field, r0[-1]), r0)
-    return g if isinstance(u, np.ndarray) or isinstance(v, np.ndarray) else kern.elements(g)
+    return g if isinstance(u, np.ndarray) or isinstance(v, np.ndarray) else elements(field, g)
 
 
 class _ExtModulus:
@@ -468,6 +492,171 @@ def _np_monic(field, f):
     if not len(f):
         return f
     return f * pow(int(f[-1]), field.p - 2, field.p) % field.p
+
+
+def _np_window_rows(p, W0, d0, W1, d1, h):
+    """_np_euclid_window on the windows of all rows at once, for rows that
+    share their remainder degrees.  Stops before a quotient of degree two or
+    more (the caller divides fully); a row whose remainder degree falls
+    short of the others' leaves.  Returns the indices of the rows that
+    stayed, their matrix rows (u_prev, v_prev, u_cur, v_cur), the number of
+    steps and the window degree of the last divisor.
+
+    Each step touches only the columns in use: remainders up to degree d0,
+    and cofactors, whose degree top - d1 grows from 0 to about h, up to it.
+    Columns past a remainder's degree may hold stale values; none is read."""
+    n, top = W0.shape[0], d0
+    rem = np.zeros((3, n, d0 + 1), dtype=np.int64)  # r_prev, r_cur, r_next
+    cof = np.zeros((3, n, 2, max(top - h, 0) + 2), dtype=np.int64)  # their (u, v)
+    rem[0, :, : W0.shape[1]] = W0
+    rem[1, :, : W1.shape[1]] = W1
+    cof[0, :, 0, 0] = 1
+    cof[1, :, 1, 0] = 1
+    tmp_rem, tmp_cof = np.empty_like(rem[0]), np.empty_like(cof[0])
+    prev, cur, nxt = 0, 1, 2
+    rows = np.arange(n)
+    steps = 0
+    while d1 >= h and d0 - d1 <= 1 and len(rows):
+        inv = np.array([pow(c, p - 2, p) for c in rem[cur, :, d1].tolist()], dtype=np.int64)
+        if d0 == d1:
+            q0, q1 = rem[prev, :, d0] * inv % p, None
+        else:
+            q1 = rem[prev, :, d0] * inv % p
+            q0 = (rem[prev, :, d0 - 1] - q1 * rem[cur, :, d1 - 1] % p) % p * inv % p
+        wc = top - d1 + 1
+        for buf, tmp, w in ((rem, tmp_rem, d0 + 1), (cof, tmp_cof, wc)):
+            P, C, N, T = buf[prev][..., :w], buf[cur][..., :w], buf[nxt][..., :w], tmp[..., :w]
+            shape = (-1,) + (1,) * (N.ndim - 1)
+            np.multiply(C, q0.reshape(shape), out=N)
+            np.subtract(P, N, out=N)
+            if q1 is not None:
+                np.multiply(C[..., :-1], q1.reshape(shape), out=T[..., 1:])
+                N[..., 1:] -= T[..., 1:]
+            np.floor_divide(N, p, out=T)
+            T *= p
+            N -= T
+        prev, cur, nxt = cur, nxt, prev
+        d = d1 - 1
+        while d >= 0 and not rem[cur, :, d].any():
+            d -= 1
+        if d >= 0 and not rem[cur, :, d].all():
+            stay = rem[cur, :, d] != 0
+            rows, rem, cof = rows[stay], rem[:, stay], cof[:, stay]
+            tmp_rem, tmp_cof = tmp_rem[stay], tmp_cof[stay]
+        d0, d1 = d1, d
+        steps += 1
+    return rows, (cof[prev, :, 0], cof[prev, :, 1], cof[cur, :, 0], cof[cur, :, 1]), steps, d0
+
+
+def _np_lockstep_block(p, R0, R1):
+    """_np_monic_gcd's block phase on all row pairs at once: windows run in
+    lockstep (_np_window_rows), and each row's matrix is applied by FFT.
+    Rows must share their degrees (deg R0 >= deg R1); a row whose degrees
+    fall short of the others' leaves.  Returns the indices of the rows that
+    stayed and their pairs, with deg R0 below _BLOCK_MIN_DEG or R1 zero."""
+    h = _BLOCK_H
+    rows = np.arange(len(R0))
+    while R0.shape[1] - 1 >= _BLOCK_MIN_DEG and R1.shape[1] and len(rows):
+        d0, d1 = R0.shape[1] - 1, R1.shape[1] - 1
+        tau = d0 - 2 * h
+        steps = 0
+        if d1 > tau:
+            kept, (m00, m01, m10, m11), steps, last = _np_window_rows(
+                p, R0[:, tau:], d0 - tau, R1[:, tau:], d1 - tau, h
+            )
+            rows, R0, R1 = rows[kept], R0[kept], R1[kept]
+        pairs = []
+        for i in range(len(rows)):
+            r0, r1 = R0[i], R1[i]
+            if steps == 0:
+                # wide degree gap: one full division
+                t = _np_mul(p, _np_quotient(p, r0, d0, r1, d1), r1)
+                nr = r0.copy()
+                nr[: len(t)] -= t
+                pairs.append((r1, _np_trim(_np_rem(nr, p))))
+                continue
+            nr0 = _np_add(p, _np_mul(p, _np_trim(m00[i]), r0), _np_mul(p, _np_trim(m01[i]), r1))
+            nr1 = _np_add(p, _np_mul(p, _np_trim(m10[i]), r0), _np_mul(p, _np_trim(m11[i]), r1))
+            if len(nr0) != tau + last + 1:
+                raise ArithmeticError("window reduction disagrees with its window")
+            pairs.append((nr0, nr1))
+        shape = max((len(a), len(b)) for a, b in pairs) if pairs else (0, 0)
+        kept = [i for i, (a, b) in enumerate(pairs) if (len(a), len(b)) == shape]
+        rows = rows[kept]
+        R0 = np.array([pairs[i][0] for i in kept], dtype=np.int64).reshape(len(kept), shape[0])
+        R1 = np.array([pairs[i][1] for i in kept], dtype=np.int64).reshape(len(kept), shape[1])
+        if shape[0] < shape[1]:
+            R0, R1 = R1, R0
+    return rows, R0, R1
+
+
+def _np_lockstep_gcd(p, R0, R1):
+    """Inverse-free Euclid on all row pairs at once, for rows whose degrees
+    are the arrays' widths minus one (deg R0 >= deg R1; R1 may be empty).
+
+    Each elimination step replaces r0 by lc(r1) r0 - lc(r0) y^s r1 in every
+    row, so entries stay below p^2 < 2^60.  The batch's remainder degree is
+    the largest among its rows (a special row can only fall short of the
+    generic degree); a row whose remainder falls short leaves.  Returns the
+    indices of the rows that stayed and their monic gcds.
+
+    Coefficients are stored one degree per row (transposed), so every step
+    works on contiguous memory."""
+    r0, r1 = (np.ascontiguousarray(X.T) % p for X in (R0, R1))
+    rows = np.arange(len(R0))
+    d1 = len(r1) - 1
+    while d1 >= 0 and len(rows):
+        lc1 = r1[d1]
+        for top in range(len(r0) - 1, d1 - 1, -1):
+            head = r0[:top]  # column top cancels exactly and is dropped
+            head *= lc1
+            head[top - d1 :] -= r1[:d1] * r0[top]
+            _np_rem(head, p)
+        d = d1 - 1
+        while d >= 0 and not r0[d].any():
+            d -= 1
+        r0 = r0[: d + 1]
+        if d >= 0 and not r0[d].all():
+            stay = r0[d] != 0
+            rows, r0, r1 = rows[stay], r0[:, stay], r1[:, stay]
+        r0, r1, d1 = r1, r0, d
+    return rows, (r0 * np_powmod(r0[-1], p - 2, p) % p).T
+
+
+def monic_gcd_rows(field: Field, U, V):
+    """Monic gcds of the row pairs (U[i], V[i]) of two int64 arrays whose rows
+    are coefficient vectors, low degree first: (N, width) over F_p, (N,
+    width, k) over F_{p^k}.  Returns (G, lockstep): G holds the gcds
+    zero-padded to one width, and lockstep counts the rows that finished in
+    lockstep.
+
+    On the F_p numpy lane the rows whose leading coefficients are nonzero
+    run in lockstep: the block phase while the larger degree is at least
+    _BLOCK_MIN_DEG (_np_lockstep_block), then the inverse-free Euclid
+    (_np_lockstep_gcd).  A row that leaves restarts from its inputs in
+    monic_gcd; every other lane runs monic_gcd row by row.  Not both rows
+    of a pair may be zero."""
+    N = len(U)
+    done, lockstep = {}, 0
+    if lane(field) == LANE_FP_NUMPY and N and min(U.shape[1], V.shape[1]) > 0:
+        p = field.p
+        if U.shape[1] < V.shape[1]:
+            U, V = V, U
+        rows = np.flatnonzero((U[:, -1] % p != 0) & (V[:, -1] % p != 0))
+        R0, R1 = U[rows] % p, V[rows] % p
+        kept, R0, R1 = _np_lockstep_block(p, R0, R1)
+        rows = rows[kept]
+        kept, G = _np_lockstep_gcd(p, R0, R1)
+        done = dict(zip(rows[kept].tolist(), G))
+        lockstep = len(done)
+    generic = lane(field) == LANE_GENERIC
+    for i in set(range(N)) - done.keys():
+        u, v = (elements(field, U[i]), elements(field, V[i])) if generic else (U[i], V[i])
+        done[i] = np.asarray(monic_gcd(field, u, v), dtype=np.int64)
+    out = np.zeros((N, max((len(g) for g in done.values()), default=0)) + U.shape[2:], dtype=np.int64)
+    for i, g in done.items():
+        out[i, : len(g)] = g
+    return out, lockstep
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from spgcd.engine import GcdConfig, gcd, hankel_first_singular, primitive_gcd
 from spgcd.errors import InvalidInput
-from spgcd.field import LANE_FP_NUMPY, LANE_FPK_KERNEL, PrimeField
+from spgcd.field import LANE_FP_NUMPY, LANE_FPK_KERNEL, LANE_GENERIC, PrimeField
 from spgcd.instances import gen_triple, random_poly
 from spgcd.oracle import dense_gcd, divides_exactly, sparse_mul
 from spgcd.sparse import SparsePoly, homogenize, lex_monic, monomial_primitive
@@ -127,6 +127,25 @@ class TestGcdWrapper:
             retried += tr.retries > 0
         assert retried >= 1  # these seeds do hit bad points
 
+    def test_degree_disagreement_recovered_by_retry(self):
+        # trial 39 of the instance stream above: in its first two attempts
+        # some grid points give a univariate GCD of another degree, which
+        # aborts Stage IV; the third attempt is exact
+        from spgcd.field import find_primitive_root
+
+        F211 = PrimeField(211)
+        omega = find_primitive_root(F211)
+        rng = random.Random(77)
+        for trial in range(40):
+            n = rng.randint(2, 3)
+            G0 = random_poly(F211, rng, n, 3, 4)
+            A = sparse_mul(F211, random_poly(F211, rng, n, 3, 4), G0)
+            B = sparse_mul(F211, random_poly(F211, rng, n, 3, 4), G0)
+        got, tr = gcd(F211, A, B, GcdConfig(seed=39, omega=omega, max_retries=12))
+        assert tr.failures == ["IV: image degree disagreement"] * 2
+        assert got == dense_gcd(F211, A, B)
+        assert tr.fallback_rows > 0  # the rows with the other degree left the lockstep
+
     def test_tiny_characteristics(self):
         # p = 2 exercises the trace-map splitter and deep extension towers
         rng = random.Random(10)
@@ -212,6 +231,24 @@ class TestTrace:
         assert tr.ext2_degree == 1 and tr.ext3_degree == 1
         assert tr.omega == 6
         assert tr.lanes == {"II": LANE_FP_NUMPY, "IV": LANE_FP_NUMPY}
+
+    def test_stage_iv_rows_in_lockstep(self):
+        # the standard shape: every grid row's GCD runs in the lockstep Euclid
+        A, B, G = gen_triple(FP, random.Random(1), 6, 30, 30)
+        got, tr = gcd(FP, A, B, GcdConfig(seed=3, omega=6, term_strategy="linear"))
+        assert got == G and tr.retries == 0
+        assert tr.lockstep_rows == (6 + 1) * 2 * tr.term_bounds.global_T
+        assert tr.fallback_rows == 0
+
+    def test_stage_iv_rows_per_row_off_the_numpy_lane(self):
+        # p >= 2^30 has no numpy lane: every grid row runs monic_gcd alone
+        field = PrimeField(2**31 - 1)
+        A, B, G = gen_triple(field, random.Random(2), 3, 6, 6)
+        got, tr = gcd(field, A, B, GcdConfig(seed=4, omega=7, term_strategy="linear"))
+        assert got == G and tr.retries == 0
+        assert tr.lanes["IV"] == LANE_GENERIC
+        assert tr.lockstep_rows == 0
+        assert tr.fallback_rows == (3 + 1) * 2 * tr.term_bounds.global_T
 
     def test_extension_path_reports_kernel_lane(self):
         # the ext_field benchmark shape: p = 1000003 without omega

@@ -7,6 +7,7 @@ for its k, where a missed reduction would overflow int64.
 
 import math
 import random
+import tracemalloc
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -16,11 +17,12 @@ from spgcd.field import (
     LANE_GENERIC,
     ExtField,
     ExtKernel,
+    elements as field_elements,
     find_irreducible,
     is_probable_prime,
     lane,
 )
-from spgcd.sparse import _monomial_values
+from spgcd.sparse import SparsePoly, _monomial_values, eval_at_powers
 from spgcd.unipoly import _generic_monic_gcd, monic_gcd, poly_divmod, poly_mul, poly_powmod, trim
 
 DEGREES = (1, 2, 4)
@@ -82,7 +84,7 @@ def test_mul(data):
     a = data.draw(polys(field, 6))
     b = data.draw(st.lists(elements(field), min_size=len(a), max_size=len(a)))
     kern = field.kernel
-    got = kern.elements(kern.mul(kern.array(a), kern.array(b)))
+    got = field_elements(field, kern.mul(kern.array(a), kern.array(b)))
     assert got == [field.mul(x, y) for x, y in zip(a, b)]
 
 
@@ -100,7 +102,7 @@ def test_monomial_values(data):
             if k:
                 v = field.mul(v, field.pow_(x, k))
         want.append(v)
-    assert field.kernel.elements(_monomial_values(field, exps, point)) == want
+    assert field_elements(field, _monomial_values(field, exps, point)) == want
 
 
 @PROPERTY
@@ -122,3 +124,24 @@ def test_poly_powmod(data):
     assume(len(trim(list(f))) >= 2)
     e = data.draw(st.integers(0, 1 << 40))
     assert poly_powmod(field, a, e, f) == reference_powmod(field, a, e, f)
+
+
+def test_huge_exponents_evaluate_in_little_memory():
+    # x1^(10^6) x2 + 5 x2^(10^6): a power table would hold 10^6 rows; square-
+    # and-multiply over the exponent bits needs a few small arrays
+    field = ext_field(1000003, 4)
+    big = 10**6
+    f = SparsePoly.from_terms(field, 2, [(1, (big, 1)), (5, (0, big))])
+    rng = random.Random(1)
+    alpha = (field.rand_unit(rng), field.rand_unit(rng))
+    tracemalloc.start()
+    try:
+        got = eval_at_powers(field, f, alpha, 2)
+        col = field_elements(field, field.kernel.pow(alpha[0], [big, 3]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    naive = [f.evaluate(field, tuple(field.pow_(a, i) for a in alpha)) for i in (1, 2)]
+    assert got == naive
+    assert col == [field.pow_(alpha[0], big), field.pow_(alpha[0], 3)]
+    assert peak < 4 << 20

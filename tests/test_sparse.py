@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from spgcd.errors import ZeroPolynomial, ZeroScale
@@ -9,6 +10,7 @@ from spgcd.field import (
     LANE_GENERIC,
     ExtField,
     PrimeField,
+    elements,
     find_irreducible,
     lane,
 )
@@ -225,9 +227,7 @@ EVALUATOR_FIELDS = [
 
 def image_elements(field, img):
     """An image as a list of field elements, whatever its lane's type."""
-    if lane(field) == LANE_FPK_KERNEL:
-        return field.kernel.elements(img)
-    return [int(c) for c in img] if lane(field) == LANE_FP_NUMPY else list(img)
+    return elements(field, np.array(img, dtype=np.int64))
 
 
 class TestPowerImageEvaluator:
@@ -254,10 +254,12 @@ class TestPowerImageEvaluator:
         ev = PowerImageEvaluator(field, homo, beta)
         for i in range(1, 5):
             assert image_elements(field, ev.next_image()) == naive(i)
-        for k in range(n):
-            ev.shift_coordinate(k, omega)
+        # the grid: the unshifted row, then one row per shifted coordinate
+        grid = ev.grid(4, omega)
+        assert grid.shape[:2] == ((n + 1) * 4, homo.max_ydeg + 1)
+        for row, k in enumerate([None] + list(range(n))):
             for i in range(1, 5):
-                assert image_elements(field, ev.next_image()) == naive(i, k)
+                assert image_elements(field, grid[4 * row + i - 1]) == naive(i, k)
 
 
 class TestLexMonic:
