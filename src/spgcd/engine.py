@@ -231,22 +231,24 @@ def _nonzero(field, a) -> np.ndarray:
     return (a != 0).any(axis=-1) if isinstance(field, ExtField) else a != 0
 
 
-def _scale_rows(field, X, scales) -> list:
-    """Row i of the int64 array X times scales[i], as lists of field elements."""
+def _scale_rows(field, X, scales) -> np.ndarray:
+    """Row i of the int64 array X times scales[i], as an int64 array."""
     ln = lane(field)
     if ln == LANE_FP_NUMPY:
-        return (X * np.array(scales, dtype=np.int64)[:, None] % field.p).tolist()
+        return X * np.array(scales, dtype=np.int64)[:, None] % field.p
     if ln == LANE_FPK_KERNEL:
         kern = field.kernel
-        return elements(field, kern.mul(kern.array(scales)[:, None], X))
-    return [[field.mul(c, s) for c in row] for row, s in zip(elements(field, X), scales)]
+        return kern.mul(kern.array(scales)[:, None], X)
+    rows = [[field.mul(c, s) for c in row] for row, s in zip(elements(field, X), scales)]
+    return np.array(rows, dtype=np.int64)
 
 
 class _ImageStream:
     """Stage II's scaled GCD images eta_i = (prod(point))^(i*d) *
     monicgcd(F1_i, F2_i) at successive powers of one evaluation point, taken
-    one at a time as the Hankel probe grows.  A vanishing leading
-    coefficient or a change in image degree aborts the attempt."""
+    one at a time as the Hankel probe grows and kept as int64 rows.  A
+    vanishing leading coefficient or a change in image degree aborts the
+    attempt."""
 
     def __init__(self, field, homo1, homo2, point, d):
         self.field = field
@@ -275,12 +277,12 @@ class _ImageStream:
             self.scale = field.mul(self.scale, self.scale_step)
             self.images.append(_scale_rows(field, np.array(g, dtype=np.int64)[None], [self.scale])[0])
 
-    def support(self, index: int):
-        return set(i for i, c in enumerate(self.images[index]) if c != self.field.zero)
+    def support(self) -> set:
+        """The y-degrees with a nonzero coefficient in some image."""
+        return set(np.flatnonzero(_nonzero(self.field, np.array(self.images)).any(axis=0)).tolist())
 
     def values_at(self, e: int):
-        z = self.field.zero
-        return [img[e] if e < len(img) else z for img in self.images]
+        return elements(self.field, np.array([img[e] for img in self.images]))
 
 
 def _step1_degree(p: int, D: int, d: int) -> int:
@@ -347,9 +349,7 @@ def _run_primitive(field: PrimeField, A, B, cfg: GcdConfig, rng, trace: StageTra
     first_singular: dict = {}
     while True:
         stream.ensure(2 * T - 1)
-        support = set()
-        for i in range(len(stream.images)):
-            support |= stream.support(i)
+        support = stream.support()
         support.discard(stream.gcd_degree)
         pending = [e for e in support if e not in first_singular]
         for e in pending:
@@ -416,7 +416,7 @@ def _run_primitive(field: PrimeField, A, B, cfg: GcdConfig, rng, trace: StageTra
         scales.append(E3.mul(scales[-1], step))
     omega_d = E3.pow_(omega, d)
     scales += [E3.mul(omega_d, s) for s in scales] * n
-    values = _scale_rows(E3, G[:, list(layer_ydegs)], scales)
+    values = elements(E3, _scale_rows(E3, G[:, list(layer_ydegs)], scales))
     trace.timings["IV"] = trace.timings.get("IV", 0.0) + time.perf_counter() - t0
 
     # Stage V: per-layer interpolation

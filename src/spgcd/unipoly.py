@@ -26,8 +26,12 @@ _BLOCK_MIN_DEG or more, the window steps of all rows run as one array and
 each row's matrix is applied by FFT; below it, each step replaces r0 by
 lc(r1) r0 - lc(r0) y^s r1 in all rows at once, so entries stay below
 p^2 < 2^60, and one batched inversion at the end makes the results monic.
-A row whose remainder degree departs from the batch's leaves and is
-finished from its inputs by monic_gcd.  Other lanes loop monic_gcd.
+The window steps are inverse-free in the same way.  A row whose remainder
+degree departs from the batch's leaves and is finished from its inputs by
+monic_gcd.  Rows run in batches of at most _LOCKSTEP_ENTRIES coefficients,
+which bounds the copies on wide rows.  Other lanes loop monic_gcd.  A
+single GCD keeps the scalar loops: a batch of one row makes the same
+number of numpy calls on arrays of one row, and takes about twice as long.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ _FFT_MAX_P = 1 << 24  # 8-bit digit split keeps FFT rounding below 1/4
 _FFT_MIN_SIZE = 24_000  # MAC count under which np.convolve wins
 _BLOCK_H = 512  # Lehmer window half-size
 _BLOCK_MIN_DEG = 3 * _BLOCK_H  # classical loop below this degree
+_LOCKSTEP_ENTRIES = 1 << 16  # rows x width of one monic_gcd_rows batch
 
 
 def degree(f) -> int:
@@ -347,7 +352,7 @@ def _np_monic_gcd(p, u, v):
             continue
         nr0 = _np_add(p, _np_mul(p, _np_trim(m00), r0), _np_mul(p, _np_trim(m01), r1))
         nr1 = _np_add(p, _np_mul(p, _np_trim(m10), r0), _np_mul(p, _np_trim(m11), r1))
-        if len(nr0) >= len(r0):
+        if len(nr1) >= len(r1):  # nr0 may be r1 itself when deg r0 = deg r1
             raise ArithmeticError("window reduction made no progress")
         r0, r1 = nr0, nr1
         if len(r0) < len(r1):
@@ -502,40 +507,49 @@ def _np_window_rows(p, W0, d0, W1, d1, h):
     stayed, their matrix rows (u_prev, v_prev, u_cur, v_cur), the number of
     steps and the window degree of the last divisor.
 
+    Steps are inverse-free, as in _np_lockstep_gcd: a quotient y q1 + q0 by
+    a divisor with leading coefficient c becomes r_next = c^2 r_prev -
+    c^2 (y q1 + q0) r_cur (c instead of c^2 when q1 = 0), so the matrix maps
+    the inputs to nonzero multiples of the remainders, which changes no
+    degree and no gcd.  Entries stay below 2 p^2 < 2^61 in size.
+
     Each step touches only the columns in use: remainders up to degree d0,
     and cofactors, whose degree top - d1 grows from 0 to about h, up to it.
-    Columns past a remainder's degree may hold stale values; none is read."""
+    Columns past a remainder's degree may hold stale values; none is read.
+    Columns past a cofactor's are never written, so they stay zero."""
     n, top = W0.shape[0], d0
-    rem = np.zeros((3, n, d0 + 1), dtype=np.int64)  # r_prev, r_cur, r_next
-    cof = np.zeros((3, n, 2, max(top - h, 0) + 2), dtype=np.int64)  # their (u, v)
+    rem = np.zeros((2, n, d0 + 1), dtype=np.int64)  # r_prev, r_cur
+    cof = np.zeros((2, n, 2, max(top - h, 0) + 2), dtype=np.int64)  # their (u, v)
     rem[0, :, : W0.shape[1]] = W0
     rem[1, :, : W1.shape[1]] = W1
     cof[0, :, 0, 0] = 1
     cof[1, :, 1, 0] = 1
     tmp_rem, tmp_cof = np.empty_like(rem[0]), np.empty_like(cof[0])
-    prev, cur, nxt = 0, 1, 2
+    prev, cur = 0, 1
     rows = np.arange(n)
     steps = 0
     while d1 >= h and d0 - d1 <= 1 and len(rows):
-        inv = np.array([pow(c, p - 2, p) for c in rem[cur, :, d1].tolist()], dtype=np.int64)
+        c, a1 = rem[cur, :, d1].copy(), rem[prev, :, d0].copy()  # P changes in place
         if d0 == d1:
-            q0, q1 = rem[prev, :, d0] * inv % p, None
+            s, q0, q1 = c, a1, None
         else:
-            q1 = rem[prev, :, d0] * inv % p
-            q0 = (rem[prev, :, d0 - 1] - q1 * rem[cur, :, d1 - 1] % p) % p * inv % p
+            s, q1 = c * c % p, c * a1 % p
+            q0 = (c * rem[prev, :, d0 - 1] - a1 * rem[cur, :, d1 - 1]) % p
         wc = top - d1 + 1
         for buf, tmp, w in ((rem, tmp_rem, d0 + 1), (cof, tmp_cof, wc)):
-            P, C, N, T = buf[prev][..., :w], buf[cur][..., :w], buf[nxt][..., :w], tmp[..., :w]
-            shape = (-1,) + (1,) * (N.ndim - 1)
-            np.multiply(C, q0.reshape(shape), out=N)
-            np.subtract(P, N, out=N)
+            # r_next overwrites r_prev
+            P, C, T = buf[prev][..., :w], buf[cur][..., :w], tmp[..., :w]
+            shape = (-1,) + (1,) * (P.ndim - 1)
+            P *= s.reshape(shape)
+            np.multiply(C, q0.reshape(shape), out=T)
+            P -= T
             if q1 is not None:
                 np.multiply(C[..., :-1], q1.reshape(shape), out=T[..., 1:])
-                N[..., 1:] -= T[..., 1:]
-            np.floor_divide(N, p, out=T)
+                P[..., 1:] -= T[..., 1:]
+            np.floor_divide(P, p, out=T)
             T *= p
-            N -= T
-        prev, cur, nxt = cur, nxt, prev
+            P -= T
+        prev, cur = cur, prev
         d = d1 - 1
         while d >= 0 and not rem[cur, :, d].any():
             d -= 1
@@ -552,8 +566,11 @@ def _np_lockstep_block(p, R0, R1):
     """_np_monic_gcd's block phase on all row pairs at once: windows run in
     lockstep (_np_window_rows), and each row's matrix is applied by FFT.
     Rows must share their degrees (deg R0 >= deg R1); a row whose degrees
-    fall short of the others' leaves.  Returns the indices of the rows that
-    stayed and their pairs, with deg R0 below _BLOCK_MIN_DEG or R1 zero."""
+    fall short of the others' leaves, and so does one whose new remainder
+    has another degree than its window's (the window lemma rules this out;
+    the row's gcd is then left to monic_gcd).  Returns the indices of the
+    rows that stayed and their pairs, with deg R0 below _BLOCK_MIN_DEG or
+    R1 zero."""
     h = _BLOCK_H
     rows = np.arange(len(R0))
     while R0.shape[1] - 1 >= _BLOCK_MIN_DEG and R1.shape[1] and len(rows):
@@ -577,11 +594,9 @@ def _np_lockstep_block(p, R0, R1):
                 continue
             nr0 = _np_add(p, _np_mul(p, _np_trim(m00[i]), r0), _np_mul(p, _np_trim(m01[i]), r1))
             nr1 = _np_add(p, _np_mul(p, _np_trim(m10[i]), r0), _np_mul(p, _np_trim(m11[i]), r1))
-            if len(nr0) != tau + last + 1:
-                raise ArithmeticError("window reduction disagrees with its window")
-            pairs.append((nr0, nr1))
+            pairs.append((nr0, nr1) if len(nr0) == tau + last + 1 else ((), ()))
         shape = max((len(a), len(b)) for a, b in pairs) if pairs else (0, 0)
-        kept = [i for i, (a, b) in enumerate(pairs) if (len(a), len(b)) == shape]
+        kept = [i for i, (a, b) in enumerate(pairs) if (len(a), len(b)) == shape and len(a)]
         rows = rows[kept]
         R0 = np.array([pairs[i][0] for i in kept], dtype=np.int64).reshape(len(kept), shape[0])
         R1 = np.array([pairs[i][1] for i in kept], dtype=np.int64).reshape(len(kept), shape[1])
@@ -591,8 +606,9 @@ def _np_lockstep_block(p, R0, R1):
 
 
 def _np_lockstep_gcd(p, R0, R1):
-    """Inverse-free Euclid on all row pairs at once, for rows whose degrees
-    are the arrays' widths minus one (deg R0 >= deg R1; R1 may be empty).
+    """Inverse-free Euclid on all row pairs at once, for rows of residues
+    whose degrees are the arrays' widths minus one (deg R0 >= deg R1; R1 may
+    be empty).
 
     Each elimination step replaces r0 by lc(r1) r0 - lc(r0) y^s r1 in every
     row, so entries stay below p^2 < 2^60.  The batch's remainder degree is
@@ -602,7 +618,7 @@ def _np_lockstep_gcd(p, R0, R1):
 
     Coefficients are stored one degree per row (transposed), so every step
     works on contiguous memory."""
-    r0, r1 = (np.ascontiguousarray(X.T) % p for X in (R0, R1))
+    r0, r1 = R0.T.copy(), R1.T.copy()
     rows = np.arange(len(R0))
     d1 = len(r1) - 1
     while d1 >= 0 and len(rows):
@@ -620,20 +636,22 @@ def _np_lockstep_gcd(p, R0, R1):
             stay = r0[d] != 0
             rows, r0, r1 = rows[stay], r0[:, stay], r1[:, stay]
         r0, r1, d1 = r1, r0, d
-    return rows, (r0 * np_powmod(r0[-1], p - 2, p) % p).T
+    return rows, (r0 * np_powmod(r0[-1:], p - 2, p) % p).T
 
 
 def monic_gcd_rows(field: Field, U, V):
     """Monic gcds of the row pairs (U[i], V[i]) of two int64 arrays whose rows
-    are coefficient vectors, low degree first: (N, width) over F_p, (N,
-    width, k) over F_{p^k}.  Returns (G, lockstep): G holds the gcds
+    are coefficient vectors of residues, low degree first: (N, width) over
+    F_p, (N, width, k) over F_{p^k}.  Returns (G, lockstep): G holds the gcds
     zero-padded to one width, and lockstep counts the rows that finished in
     lockstep.
 
     On the F_p numpy lane the rows whose leading coefficients are nonzero
     run in lockstep: the block phase while the larger degree is at least
     _BLOCK_MIN_DEG (_np_lockstep_block), then the inverse-free Euclid
-    (_np_lockstep_gcd).  A row that leaves restarts from its inputs in
+    (_np_lockstep_gcd).  They run in batches of at most _LOCKSTEP_ENTRIES
+    input coefficients, so the copies a batch makes stay small however wide
+    the rows are.  A row that leaves restarts from its inputs in
     monic_gcd; every other lane runs monic_gcd row by row.  Not both rows
     of a pair may be zero."""
     N = len(U)
@@ -642,12 +660,14 @@ def monic_gcd_rows(field: Field, U, V):
         p = field.p
         if U.shape[1] < V.shape[1]:
             U, V = V, U
-        rows = np.flatnonzero((U[:, -1] % p != 0) & (V[:, -1] % p != 0))
-        R0, R1 = U[rows] % p, V[rows] % p
-        kept, R0, R1 = _np_lockstep_block(p, R0, R1)
-        rows = rows[kept]
-        kept, G = _np_lockstep_gcd(p, R0, R1)
-        done = dict(zip(rows[kept].tolist(), G))
+        size = max(1, _LOCKSTEP_ENTRIES // U.shape[1])
+        for start in range(0, N, size):
+            chunk = slice(start, start + size)
+            rows = start + np.flatnonzero((U[chunk, -1] != 0) & (V[chunk, -1] != 0))
+            kept, R0, R1 = _np_lockstep_block(p, U[rows], V[rows])
+            rows = rows[kept]
+            kept, G = _np_lockstep_gcd(p, R0, R1)
+            done.update(zip(rows[kept].tolist(), G))
         lockstep = len(done)
     generic = lane(field) == LANE_GENERIC
     for i in set(range(N)) - done.keys():

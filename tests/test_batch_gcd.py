@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spgcd.field import PrimeField, is_probable_prime
-from spgcd.unipoly import _BLOCK_MIN_DEG, _np_mul, monic_gcd, monic_gcd_rows, trim
+from spgcd import unipoly
+from spgcd.unipoly import _BLOCK_MIN_DEG, _np_mul, monic, monic_gcd, monic_gcd_rows, trim
 
 
 def largest_prime_below(n):
@@ -46,7 +47,7 @@ def poly_mul(field, a, b):
 
 
 def planted_row(field, kind, g, du, dv, rng):
-    """(u, v) with deg u = du + deg g and deg v = dv + deg g (du > dv >= 2),
+    """(u, v) with deg u = du + deg g and deg v = dv + deg g (du >= dv >= 2),
     except where the kind lowers one of them."""
     a, b = rand_poly(field, du, rng), rand_poly(field, dv, rng)
     if kind == "extra_factor":
@@ -108,6 +109,7 @@ WIDE_SHAPES = [
     (40, _BLOCK_MIN_DEG - 41, _BLOCK_MIN_DEG - 42),  # at the bound: no block phase
     (40, _BLOCK_MIN_DEG - 39, _BLOCK_MIN_DEG - 40),  # just past it: one window
     (40, 2600, 1500),  # a gap wider than a window: one full division first
+    (40, 1600, 1600),  # equal degrees: the first window step has quotient degree 0
     (1700, 300, 200),  # gcd past the bound: the divisor vanishes in the block phase
 ]
 
@@ -127,6 +129,34 @@ def test_wide_rows_match_monic_gcd(shape, p, kinds, seed):
         assert lockstep >= kinds.count("generic")
 
 
+def test_wide_proportional_rows():
+    # deg u = deg v past _BLOCK_MIN_DEG and v = c u: the first window step
+    # leaves a zero remainder, in the scalar and in the batch Euclid
+    field = PrimeField(10000019)
+    u = rand_poly(field, _BLOCK_MIN_DEG + 100, random.Random(4))
+    v = [field.mul(3, c) for c in u]
+    want = monic(field, u)
+    assert list(monic_gcd(field, u, v)) == want
+    G, lockstep = monic_gcd_rows(field, as_rows([u, u], len(u)), as_rows([v, u], len(u)))
+    assert lockstep == 2
+    assert G.tolist() == [want, want]
+
+
+def test_rows_whose_window_disagrees_leave(monkeypatch):
+    # a new remainder of another degree than its window predicts (which the
+    # window lemma rules out) sends the row to monic_gcd, even every row
+    real = unipoly._np_window_rows
+
+    def off_by_one(*args):
+        rows, matrices, steps, last = real(*args)
+        return rows, matrices, steps, last + 1
+
+    monkeypatch.setattr(unipoly, "_np_window_rows", off_by_one)
+    dg, du, dv = WIDE_SHAPES[1]
+    field, U, V = planted_batch(10000019, ["generic"] * 3, dg, du, dv, seed=3)
+    assert check_rows(field, U, V) == 0
+
+
 def test_planted_rows_leave_the_lockstep():
     # at p = 10000019 the generic rows keep one degree sequence; each planted
     # row departs from it and is finished by monic_gcd
@@ -142,3 +172,13 @@ def test_single_row_and_other_lanes():
     # p >= 2^30 is off the numpy lane: every row runs monic_gcd
     field, U, V = planted_batch(2**31 - 1, ["generic"] * 3, 3, 8, 5, seed=3)
     assert check_rows(field, U, V) == 0
+
+
+def test_rows_split_into_batches(monkeypatch):
+    # a budget of 40 coefficients splits rows of width 17 into batches of 2;
+    # a planted row leaves its own batch only
+    monkeypatch.setattr(unipoly, "_LOCKSTEP_ENTRIES", 40)
+    kinds = ["generic", "extra_factor"] + ["generic"] * 4 + ["early_zero", "generic"]
+    field, U, V = planted_batch(10000019, kinds, 4, 12, 9, seed=7)
+    assert U.shape[1] == 17
+    assert check_rows(field, U, V) == 6

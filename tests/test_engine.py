@@ -50,6 +50,13 @@ class TestPrimitiveGcd:
         got, _ = primitive_gcd(FP, f, f, GcdConfig(seed=2, omega=6))
         assert got == lex_monic(FP, f)
 
+    def test_self_gcd_past_block_degree(self):
+        # images of degree >= _BLOCK_MIN_DEG with u = v: the block Euclid's
+        # first window leaves a zero remainder
+        A, _, _ = gen_triple(FP, random.Random(5), 6, 30, 1600)
+        got, _ = gcd(FP, A, A, GcdConfig(seed=1, omega=6, term_strategy="linear"))
+        assert got == lex_monic(FP, A)
+
     def test_coprime_inputs(self):
         rng = random.Random(1)
         a = monomial_primitive(random_poly(FP, rng, 3, 5, 4))
