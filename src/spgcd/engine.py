@@ -2,8 +2,9 @@
 
 Stage I    pick an isolating vector s so one input's homogenization has a
            single term of maximal y-degree (then so does the GCD's);
-Stage II   probe univariate GCD images at powers of a random point and bound
-           each y-layer's term count by its first singular Hankel matrix;
+Stage II   probe univariate GCD images at powers of a random point, each
+           Hankel round's new images as one batch, and bound each y-layer's
+           term count by its first singular Hankel matrix;
 Stage III  size the working field and pick the shift element omega and the
            evaluation point alpha for the grid;
 Stage IV   evaluate the whole (n+1) x 2T grid as two arrays of image rows
@@ -28,14 +29,15 @@ nonzero R, which stays nonzero and of the same degree in alpha, so each row
 has the bad sets the sizing assumes.  Shared nodes only drop events: only
 the base row's nodes must be distinct, and no coefficient has to be.
 
-The grid's GCDs.  At generic points every image pair of the grid follows
-one remainder degree sequence, so on the F_p numpy lane Stage IV runs all
-of them in lockstep as 2-D arrays (unipoly.monic_gcd_rows).  A row whose
-remainder degree departs from the batch's leaves it and is finished from
-its inputs by the per-row monic_gcd, so, as with one GCD per point, only a
-final GCD degree other than Stage II's aborts the attempt.  Other lanes
-run monic_gcd row by row; StageTrace.lockstep_rows and fallback_rows count
-both kinds of row.
+Batched GCDs.  Stages II and IV hand their image pairs to unipoly.monic_gcd
+as two arrays, one row per point; Stage II the new images of each Hankel
+round (1, 2, 2, ... under "linear", 1, 2, 4, ... under "doubling").  At
+generic points the pairs share one remainder degree sequence, so on the F_p
+numpy lane they run in lockstep; a row that departs is finished alone.  As
+with one GCD per point, only a final GCD degree other than Stage II's aborts
+the attempt, and Stage II checks its images in order, so the first bad one
+decides the failure.  StageTrace.lockstep_rows and fallback_rows count
+Stage IV's rows of both kinds.
 
 Every detectable inconsistency (vanishing leading coefficient, image degree
 drift, interpolation failure) aborts the attempt; the driver retries with
@@ -81,7 +83,7 @@ from .sparse import (
 )
 # Not called here; perfbench/run.py wraps engine.diversify and engine.undiversify by name.
 from .sparse import diversify, undiversify  # noqa: F401
-from .unipoly import monic_gcd, monic_gcd_rows
+from .unipoly import monic_gcd
 
 
 @dataclass
@@ -125,7 +127,7 @@ class StageTrace:
     stages "II" and "IV" to the arithmetic lane (``field.lane``) of the
     field their images and univariate GCDs ran in.  ``lockstep_rows`` and
     ``fallback_rows`` count Stage IV grid rows, summed over attempts, whose
-    GCD finished in the lockstep Euclid or ran the per-row monic_gcd."""
+    GCD finished in the batch's shared pass or was taken alone."""
 
     s: tuple | None = None
     isolated_from: str | None = None
@@ -231,6 +233,11 @@ def _nonzero(field, a) -> np.ndarray:
     return (a != 0).any(axis=-1) if isinstance(field, ExtField) else a != 0
 
 
+def _degrees(support) -> np.ndarray:
+    """Degree of each row of nonzero polynomials, given their _nonzero mask."""
+    return support.shape[1] - 1 - np.argmax(support[:, ::-1], axis=1)
+
+
 def _scale_rows(field, X, scales) -> np.ndarray:
     """Row i of the int64 array X times scales[i], as an int64 array."""
     ln = lane(field)
@@ -246,9 +253,8 @@ def _scale_rows(field, X, scales) -> np.ndarray:
 class _ImageStream:
     """Stage II's scaled GCD images eta_i = (prod(point))^(i*d) *
     monicgcd(F1_i, F2_i) at successive powers of one evaluation point, taken
-    one at a time as the Hankel probe grows and kept as int64 rows.  A
-    vanishing leading coefficient or a change in image degree aborts the
-    attempt."""
+    as the Hankel probe grows and kept as int64 rows.  A vanishing leading
+    coefficient or a change in image degree aborts the attempt."""
 
     def __init__(self, field, homo1, homo2, point, d):
         self.field = field
@@ -262,20 +268,28 @@ class _ImageStream:
         self.gcd_degree = None
 
     def ensure(self, count: int):
-        field = self.field
-        while len(self.images) < count:
-            img1 = self.ev1.next_image()
-            img2 = self.ev2.next_image()
-            if not np.any(img1[self.top1]) or not np.any(img2[self.top2]):
-                raise _StageFailure("II", "leading coefficient vanished")
-            g = monic_gcd(field, img1, img2)
-            deg = len(g) - 1
+        """Take the images up to count as one batch of GCDs, checked in order."""
+        field, new = self.field, count - len(self.images)
+        if new <= 0:
+            return
+        U = np.array([self.ev1.next_image() for _ in range(new)], dtype=np.int64)
+        V = np.array([self.ev2.next_image() for _ in range(new)], dtype=np.int64)
+        lc_ok = _nonzero(field, U[:, self.top1]) & _nonzero(field, V[:, self.top2])
+        good = new if lc_ok.all() else int(np.argmin(lc_ok))  # the images before the first bad one
+        if good:
+            G, _ = monic_gcd(field, U[:good], V[:good])
+            degrees = _degrees(_nonzero(field, G))
             if self.gcd_degree is None:
-                self.gcd_degree = deg
-            elif deg != self.gcd_degree:
+                self.gcd_degree = int(degrees[0])
+            if np.any(degrees != self.gcd_degree):
                 raise _StageFailure("II", "image degree disagreement")
-            self.scale = field.mul(self.scale, self.scale_step)
-            self.images.append(_scale_rows(field, np.array(g, dtype=np.int64)[None], [self.scale])[0])
+            scales = []
+            for _ in range(good):
+                self.scale = field.mul(self.scale, self.scale_step)
+                scales.append(self.scale)
+            self.images.extend(_scale_rows(field, G, scales))
+        if good < new:
+            raise _StageFailure("II", "leading coefficient vanished")
 
     def support(self) -> set:
         """The y-degrees with a nonzero coefficient in some image."""
@@ -397,11 +411,11 @@ def _run_primitive(field: PrimeField, A, B, cfg: GcdConfig, rng, trace: StageTra
     trace.lanes["IV"] = lane(E3)
     if not (_nonzero(E3, U[:, homo1.max_ydeg]).all() and _nonzero(E3, V[:, homo2.max_ydeg]).all()):
         raise _StageFailure("IV", "leading coefficient vanished")
-    G, lockstep = monic_gcd_rows(E3, U, V)
+    G, lockstep = monic_gcd(E3, U, V)
     trace.lockstep_rows += lockstep
     trace.fallback_rows += len(G) - lockstep
     support = _nonzero(E3, G)
-    degrees = support.shape[1] - 1 - np.argmax(support[:, ::-1], axis=1)
+    degrees = _degrees(support)
     if np.any(degrees != degrees[0]):
         raise _StageFailure("IV", "image degree disagreement")
     if degrees[0] != e_top:

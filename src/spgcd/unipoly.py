@@ -6,32 +6,30 @@ Three lanes share one public API, chosen by ``field.lane``:
   * generic lane      -- python lists of field elements, any field;
   * F_p numpy lane    -- int64 vectors for prime fields with p < 2^30 (two
                          scaled subtractions of residues stay inside int64),
-                         used by monic_gcd and monic_gcd_rows;
+                         used by monic_gcd;
   * F_{p^k} kernel    -- (len, k) int64 arrays through the field's ExtKernel
                          when (p - 1)^2 k < 2^62, used by monic_gcd,
                          poly_mulmod and poly_powmod (so by root finding);
                          callers pass and get lists of k-tuples, and
                          monic_gcd also takes and returns arrays.
 
-The F_p numpy GCD switches from the classical remainder loop to a block
-variant for large degrees: quotients are extracted from a window of the top
-2h+1 coefficients (they agree with the true quotients while remainder degrees
-stay in the window's upper half) and the accumulated 2x2 transition matrix is
-applied to the full vectors with batched multiplications.
-
-monic_gcd_rows takes a batch of GCDs as two int64 arrays, one pair of rows
-per GCD.  On the F_p numpy lane the rows run in lockstep, since at generic
-points they share one remainder degree sequence: while degrees are
-_BLOCK_MIN_DEG or more, the window steps of all rows run as one array and
-each row's matrix is applied by FFT; below it, each step replaces r0 by
-lc(r1) r0 - lc(r0) y^s r1 in all rows at once, so entries stay below
-p^2 < 2^60, and one batched inversion at the end makes the results monic.
-The window steps are inverse-free in the same way.  A row whose remainder
-degree departs from the batch's leaves and is finished from its inputs by
-monic_gcd.  Rows run in batches of at most _LOCKSTEP_ENTRIES coefficients,
-which bounds the copies on wide rows.  Other lanes loop monic_gcd.  A
-single GCD keeps the scalar loops: a batch of one row makes the same
-number of numpy calls on arrays of one row, and takes about twice as long.
+monic_gcd takes one pair or a batch of pairs, one pair of rows of two int64
+arrays per GCD.  The F_p numpy lane has one Euclid for both: a single pair
+is a batch of one row.  The rows of a batch run in lockstep, since at
+generic points they share one remainder degree sequence.  While degrees are
+_BLOCK_MIN_DEG or more, a block phase extracts quotients from a window of
+the top coefficients of all rows at once (they agree with the true
+quotients while remainder degrees stay in the window's upper half) and
+applies each row's 2x2 transition matrix to its full vectors by FFT.
+Below it the Euclid runs on the whole rows.  Both phases are inverse-free:
+a quotient of degree one by a divisor with leading coefficient c becomes
+one pass r0 <- c^2 r0 - (y q1 + q0) r1, any other quotient one elimination
+r0 <- c r0 - a y^s r1 per coefficient, so entries stay below 2 p^2 < 2^61,
+and one inversion per row at the end makes the results monic.  A row whose
+remainder degree departs from the batch's leaves and is finished from its
+inputs as a batch of one.  Rows run in batches of at most
+_LOCKSTEP_ENTRIES coefficients, which bounds the copies on wide rows.
+Other lanes take the pairs of a batch one at a time.
 """
 
 from __future__ import annotations
@@ -49,14 +47,13 @@ from .field import (
     Field,
     elements,
     lane,
-    np_powmod,
 )
 
 _FFT_MAX_P = 1 << 24  # 8-bit digit split keeps FFT rounding below 1/4
 _FFT_MIN_SIZE = 24_000  # MAC count under which np.convolve wins
-_BLOCK_H = 512  # Lehmer window half-size
-_BLOCK_MIN_DEG = 3 * _BLOCK_H  # classical loop below this degree
-_LOCKSTEP_ENTRIES = 1 << 16  # rows x width of one monic_gcd_rows batch
+_BLOCK_H = 512  # least Lehmer window half-size
+_BLOCK_MIN_DEG = 3 * _BLOCK_H  # no block phase below this degree
+_LOCKSTEP_ENTRIES = 1 << 16  # rows x width of one lockstep batch
 
 
 def degree(f) -> int:
@@ -150,7 +147,7 @@ def monic(field: Field, f):
 
 
 # ---------------------------------------------------------------------------
-# fast-lane helpers (numpy int64 over F_p, p < 2^30)
+# F_p numpy lane (int64, p < 2^30): one Euclid for one row pair or many
 # ---------------------------------------------------------------------------
 
 
@@ -166,26 +163,26 @@ def _np_rem(a, p):
     return a
 
 
-def _mul_fft(a, b, p):
-    """Exact product mod p via real FFT on 8-bit digit planes (p < 2^24).
+def _planes(a, N):
+    """Size-N real FFTs of the three 8-bit digit planes of a (p < 2^24)."""
+    return [np.fft.rfft(x, N) for x in (a & 0xFF, (a >> 8) & 0xFF, a >> 16)]
+
+
+def _fft_sum(p, products, n, N):
+    """First n coefficients of the sum of a b mod p over the pairs (a, b) in
+    products, each given as its _planes of size N (exact for p < 2^24).
 
     A rounding residual above 0.25 would signal precision loss; the digit
     split keeps the true bound orders of magnitude below that, and the
-    assertion turns any violation into a hard error rather than bad data.
+    check turns any violation into an ArithmeticError rather than bad data.
     """
-    n = len(a) + len(b) - 1
-    N = 1 << (n - 1).bit_length()
-    planes_a = (a & 0xFF, (a >> 8) & 0xFF, a >> 16)
-    planes_b = (b & 0xFF, (b >> 8) & 0xFF, b >> 16)
-    fa = [np.fft.rfft(x, N) for x in planes_a]
-    fb = [np.fft.rfft(x, N) for x in planes_b]
     out = np.zeros(n, dtype=np.int64)
     shift = 1
     for k in range(5):
-        acc = None
-        for i in range(max(0, k - 2), min(2, k) + 1):
-            t = fa[i] * fb[k - i]
-            acc = t if acc is None else acc + t
+        acc = 0
+        for fa, fb in products:
+            for i in range(max(0, k - 2), min(2, k) + 1):
+                acc = acc + fa[i] * fb[k - i]
         c = np.fft.irfft(acc, N)[:n]
         r = np.rint(c)
         if np.max(np.abs(c - r)) > 0.25:
@@ -201,8 +198,9 @@ def _np_mul(p, a, b):
         return np.zeros(0, dtype=np.int64)
     la, lb = len(a), len(b)
     if p < _FFT_MAX_P and la * lb >= _FFT_MIN_SIZE and la + lb - 1 >= 64:
+        N = 1 << (la + lb - 2).bit_length()
         try:
-            return _mul_fft(a, b, p)
+            return _fft_sum(p, [(_planes(a, N), _planes(b, N))], la + lb - 1, N)
         except ArithmeticError:
             pass
     # np.convolve accumulates up to min(la, lb) products of size < p^2
@@ -218,156 +216,201 @@ def _np_mul(p, a, b):
     return out
 
 
-def _np_quotient(p, w0, d0, w1, d1):
-    """Full quotient of w0 by w1 (degrees d0 >= d1) as an int64 vector."""
-    g = d0 - d1
-    inv = pow(int(w1[d1]), p - 2, p)
-    if g == 0:
-        return np.array([int(w0[d0]) * inv % p], dtype=np.int64)
-    if g == 1:
-        q1 = int(w0[d0]) * inv % p
-        below = int(w1[d1 - 1]) if d1 >= 1 else 0
-        c = (int(w0[d0 - 1]) - q1 * below) % p
-        return np.array([c * inv % p, q1], dtype=np.int64)
-    # wide gap: vectorized long division, one fused pass per quotient coefficient
-    top = w0[: d0 + 1].copy()
-    div = w1[: d1 + 1]
-    q = np.zeros(g + 1, dtype=np.int64)
-    for k in range(g, -1, -1):
-        c = int(top[k + d1]) % p
-        if c:
-            c = c * inv % p
-            q[k] = c
-            seg = top[k : k + d1 + 1]
-            seg -= c * div
-            _np_rem(seg, p)
-    return q
+def _np_apply(p, m, r0, r1):
+    """(m00 r0 + m01 r1, m10 r0 + m11 r1) mod p, untrimmed, for a window
+    matrix m = (m00, m01, m10, m11) of vectors of one length and len(r0) >=
+    len(r1).  By FFT, r0, r1 and the four entries are transformed once and
+    each sum is inverted once: 28 transforms where four products take 44."""
+    n = len(m[0]) + len(r0) - 1
+    if p < _FFT_MAX_P and len(m[0]) * len(r0) >= _FFT_MIN_SIZE:
+        N = 1 << (n - 1).bit_length()
+        f0, f1 = _planes(r0, N), _planes(r1, N)
+        fm = [_planes(x, N) for x in m]
+        try:
+            return _fft_sum(p, [(fm[0], f0), (fm[1], f1)], n, N), _fft_sum(p, [(fm[2], f0), (fm[3], f1)], n, N)
+        except ArithmeticError:
+            pass
+    out = []
+    for a, b in ((m[0], m[1]), (m[2], m[3])):
+        x, y = _np_mul(p, a, r0), _np_mul(p, b, r1)
+        x[: len(y)] += y
+        out.append(x % p)
+    return out
 
 
-def _np_scan_degree(row, start):
-    d = start
-    while d >= 0 and row[d] == 0:
+def _np_top_degree(M, d):
+    """The largest e <= d whose coefficients M[e] (one per row) are not all
+    zero, -1 if none, and the mask of the rows nonzero there, or None when
+    all are."""
+    while d >= 0:
+        live = np.count_nonzero(M[d])
+        if live:
+            return d, None if live == len(M[d]) else M[d] != 0
         d -= 1
-    return d
+    return d, None
 
 
-def _np_euclid_window(p, w0, d0, w1, d1, h):
-    """Euclid with transition-matrix recording on a coefficient window.
+def _np_window_rows(p, W0, W1, h):
+    """Euclid with transition-matrix recording on the coefficient windows of
+    all rows at once, for rows whose window degrees are the arrays' widths
+    minus one (deg W0 >= deg W1).  Steps run while the divisor's window
+    degree stays >= h, which keeps the quotients equal to the true ones; a
+    row whose remainder degree falls short of the others' leaves.  Returns
+    the indices of the rows that stayed, the window degree of their last
+    divisor and their matrix rows (u_prev, v_prev, u_cur, v_cur).
 
-    Steps run while the divisor's window degree stays >= h, which keeps the
-    computed quotients equal to the true ones.  Returns the four matrix rows
-    (u_prev, v_prev, u_cur, v_cur) and the number of steps taken.
-    """
-    W = len(w0) + 2
-    P = np.zeros((3, W), dtype=np.int64)
-    C = np.zeros((3, W), dtype=np.int64)
-    N = np.zeros((3, W), dtype=np.int64)
-    P[0, : len(w0)] = w0
-    C[0, : len(w1)] = w1
-    P[1, 0] = 1
-    C[2, 0] = 1
-    steps = 0
-    while d1 >= h:
-        q = _np_quotient(p, P[0], d0, C[0], d1)
-        if len(q) == 2:
-            q0, q1 = int(q[0]), int(q[1])
-            np.multiply(C, q0, out=N)
-            np.subtract(P, N, out=N)
-            if q1:
-                N[:, 1:] -= q1 * C[:, :-1]
-            _np_rem(N, p)
-        elif len(q) == 1:
-            np.multiply(C, int(q[0]), out=N)
-            np.subtract(P, N, out=N)
-            _np_rem(N, p)
+    Steps are inverse-free.  With c the divisor's leading coefficient, a
+    quotient y q1 + q0 becomes r_next = c^2 r_prev - c^2 (y q1 + q0) r_cur
+    in one pass; a quotient of degree 0 or 2 and more becomes one
+    elimination r_prev <- c r_prev - a y^s r_cur per coefficient a it
+    cancels.  So the matrix maps the inputs to nonzero multiples of the
+    remainders, which changes no degree and no gcd, and entries stay below
+    2 p^2 < 2^61 in size.
+
+    Each row holds u, v and then r, so a step is one pass over contiguous
+    memory; a shift by y^s moves coefficients along the flattened rows.
+    Every coefficient past a remainder's or a cofactor's degree is zero,
+    and each of u, v and r gets more columns than a shift fills, so a shift
+    carries only zeros from one into the next."""
+    n, top, d0, d1 = len(W0), W0.shape[1] - 1, W0.shape[1] - 1, W1.shape[1] - 1
+    wc = max(top - h, 0) + 2  # cofactor degrees stay below top - h
+    buf = np.zeros((2, n, 2 * wc + top + 2), dtype=np.int64)  # (u, v, r) of r_prev, r_cur
+    R = buf[..., 2 * wc :]
+    R[0, :, : top + 1] = W0
+    R[1, :, : d1 + 1] = W1
+    buf[0, :, 0] = 1
+    buf[1, :, wc] = 1
+    tmp = np.empty_like(buf[0])
+    prev, cur = 0, 1
+    rows = np.arange(n)
+    p_arr = np.array(p)  # numpy takes a 0-d array operand faster than an int
+
+    def eliminate(scale, q0, q1, shift):
+        # r_prev <- scale r_prev - (q0 + y q1) y^shift r_cur in place, cofactors
+        # alike; scale, q0 and q1 hold one value per row, as (n, 1) arrays
+        P, T = buf[prev], tmp
+        P *= scale
+        flat_P, flat_T = P.reshape(-1), T.reshape(-1)
+        for s, q in ((shift, q0), (shift + 1, q1)):
+            if q is not None:
+                np.multiply(buf[cur], q, out=T)
+                flat_P[s:] -= flat_T[: flat_T.size - s]
+        np.floor_divide(P, p_arr, out=T)
+        T *= p_arr
+        P -= T
+
+    while d1 >= h and len(rows):
+        c = R[cur, :, d1, None].copy()
+        if d0 - d1 == 1:
+            a = R[prev, :, d0, None]
+            q0 = (c * R[prev, :, d0 - 1, None] - a * R[cur, :, d1 - 1, None]) % p_arr
+            eliminate(c * c % p_arr, q0, c * a % p_arr, 0)
         else:
-            width = max(d1 + 1, steps + 1)
-            for row in range(3):
-                t = _np_mul(p, q, C[row, :width])
-                N[row] = P[row]
-                N[row, : len(t)] -= t
-            _np_rem(N, p)
-        P, C, N = C, N, P
-        d0, d1 = d1, _np_scan_degree(C[0], d1 - 1)
-        steps += 1
-    return (P[1], P[2], C[1], C[2]), steps
+            for t in range(d0, d1 - 1, -1):
+                eliminate(c, R[prev, :, t, None].copy(), None, t - d1)
+        prev, cur = cur, prev
+        d, stay = _np_top_degree(R[cur].T, d1 - 1)
+        if stay is not None:  # copy() keeps buf C-contiguous, so reshape(-1) is a view
+            rows, buf, tmp = rows[stay], buf[:, stay].copy(), tmp[stay]
+            R = buf[..., 2 * wc :]
+        d0, d1 = d1, d
+    return rows, d0, (buf[prev, :, :wc], buf[prev, :, wc : 2 * wc], buf[cur, :, :wc], buf[cur, :, wc : 2 * wc])
 
 
-def _np_classical_gcd(p, r0, r1):
-    """Plain remainder loop; returns the last nonzero remainder (not monic)."""
-    d0, d1 = len(r0) - 1, len(r1) - 1
-    buf0 = np.zeros(max(d0, d1) + 2, dtype=np.int64)
-    buf1 = np.zeros(max(d0, d1) + 2, dtype=np.int64)
-    buf0[: d0 + 1] = r0
-    buf1[: d1 + 1] = r1
-    if d0 < d1:
-        buf0, buf1, d0, d1 = buf1, buf0, d1, d0
-    while d1 >= 0:
-        q = _np_quotient(p, buf0, d0, buf1, d1)
-        seg = buf0[: d1 + len(q)]
-        if len(q) == 2:
-            q0, q1 = int(q[0]), int(q[1])
-            seg[: d1 + 1] -= q0 * buf1[: d1 + 1]
-            seg[1 : d1 + 2] -= q1 * buf1[: d1 + 1]
-        elif len(q) == 1:
-            seg[: d1 + 1] -= int(q[0]) * buf1[: d1 + 1]
+def _np_lockstep_block(p, R0, R1):
+    """The block phase on all row pairs at once, while deg R0 >= _BLOCK_MIN_DEG:
+    Euclid on windows of the top 2H + 1 coefficients while remainder degrees
+    stay in the window's upper half, so the quotients are the true ones, and
+    each row's matrix applied to its full vectors (_np_apply).  H is
+    _BLOCK_H, except that a first quotient of degree g >= 2 (where the input
+    degrees differ) takes a window of H = g to itself.  Rows must share
+    their degrees (deg R0 >= deg R1); a row whose degrees fall short of the
+    others' leaves, and so does one whose new remainder has another degree
+    than its window's (the window lemma rules this out).  Returns the
+    indices of the rows that stayed and their pairs, with deg R0 below
+    _BLOCK_MIN_DEG or R1 zero."""
+    rows = np.arange(len(R0))
+    while R0.shape[1] - 1 >= _BLOCK_MIN_DEG and R1.shape[1] and len(rows):
+        d0, d1 = R0.shape[1] - 1, R1.shape[1] - 1
+        H = d0 - d1 if d0 - d1 > 1 else _BLOCK_H
+        tau = max(d0 - 2 * H, 0)  # a window that reaches degree 0 is exact
+        kept, last, m = _np_window_rows(p, R0[:, tau:], R1[:, tau:], min(H, d1 - tau))
+        rows, R0, R1 = rows[kept], R0[kept], R1[kept]
+        pairs = []
+        for i in range(len(rows)):
+            nr0, nr1 = (_np_trim(r) for r in _np_apply(p, [x[i] for x in m], R0[i], R1[i]))
+            pairs.append((nr0, nr1) if len(nr0) == tau + last + 1 else ((), ()))
+        shape = max((len(a), len(b)) for a, b in pairs) if pairs else (0, 0)
+        kept = [i for i, (a, b) in enumerate(pairs) if (len(a), len(b)) == shape and len(a)]
+        rows = rows[kept]
+        R0 = np.array([pairs[i][0] for i in kept], dtype=np.int64).reshape(len(kept), shape[0])
+        R1 = np.array([pairs[i][1] for i in kept], dtype=np.int64).reshape(len(kept), shape[1])
+        if shape[0] < shape[1]:  # nr0 is r1 itself when deg r0 = deg r1
+            R0, R1 = R1, R0
+    return rows, R0, R1
+
+
+def _np_lockstep_gcd(p, R0, R1):
+    """Monic gcds of all row pairs at once, for rows of residues whose
+    degrees are the arrays' widths minus one (deg R0 >= deg R1; R1 may be
+    empty): the block phase (_np_lockstep_block), then an inverse-free
+    Euclid on the whole rows, with steps as in _np_window_rows, so entries
+    stay below 2 p^2 < 2^61.  The batch's remainder degree is the largest
+    among its rows (a special row can only fall short of the generic
+    degree); a row whose remainder falls short leaves.  Returns the indices
+    of the rows that stayed and their monic gcds.
+
+    Coefficients are stored one degree per row (transposed): a step touches
+    only the degrees below the divisor's, a contiguous prefix, while the
+    window's rows, which carry cofactors, are short enough to pass whole."""
+    rows, R0, R1 = _np_lockstep_block(p, R0, R1)
+    r0, r1 = R0.T.copy(), R1.T.copy()
+    d1 = len(r1) - 1
+    p_arr = np.array(p)  # numpy takes a 0-d array operand faster than an int
+    while d1 >= 0 and len(rows):
+        c = r1[d1]
+        if len(r0) - d1 == 2:
+            # r0 = a y^(d1+1) + b y^d1 + ..., r1 = c y^d1 + e y^(d1-1) + ...:
+            # r0 <- c^2 r0 - (c a y + c b - a e) r1 in one pass
+            q = r0[d1:] * c  # c b, c a
+            if d1:
+                q[0] -= r0[d1 + 1] * r1[d1 - 1]
+            q %= p_arr
+            head = r0[:d1]
+            head *= c * c % p_arr
+            head -= r1[:d1] * q[0]
+            head[1:] -= r1[: d1 - 1] * q[1]
+            _np_rem(head, p_arr)
         else:
-            seg -= _np_mul(p, q, buf1[: d1 + 1])
-        _np_rem(seg, p)
-        buf0, buf1 = buf1, buf0
-        d0, d1 = d1, _np_scan_degree(buf1[0 : d0 + 1], d0 - 1)
-    return buf0[: d0 + 1].copy()
+            for top in range(len(r0) - 1, d1 - 1, -1):
+                head = r0[:top]  # column top cancels exactly and is dropped
+                head *= c
+                head[top - d1 :] -= r1[:d1] * r0[top]
+                _np_rem(head, p_arr)
+        d, stay = _np_top_degree(r0, d1 - 1)
+        r0 = r0[: d + 1]
+        if stay is not None:
+            rows, r0, r1 = rows[stay], r0[:, stay], r1[:, stay]
+        r0, r1, d1 = r1, r0, d
+    inv = [pow(int(c), -1, p) for c in r0[-1]] if len(r0) else []
+    return rows, (r0 * np.array(inv, dtype=np.int64) % p).T
 
 
-def _np_monic_gcd(p, u, v):
+def _np_monic_gcd(field, u, v):
+    """One gcd on the F_p numpy lane, as a batch of one row.  Should the row
+    leave (only a window result of an unexpected degree makes it),
+    _generic_monic_gcd finishes it."""
+    p = field.p
     r0 = _np_trim(np.asarray(u, dtype=np.int64) % p)
     r1 = _np_trim(np.asarray(v, dtype=np.int64) % p)
     if len(r0) < len(r1):
         r0, r1 = r1, r0
-    if not len(r1):
-        if not len(r0):
-            raise InvalidInput("gcd(0, 0) undefined")
-        return r0 * pow(int(r0[-1]), p - 2, p) % p
-    h = _BLOCK_H
-    while len(r1) - 1 >= _BLOCK_MIN_DEG:
-        d0, d1 = len(r0) - 1, len(r1) - 1
-        tau = d0 - 2 * h
-        if d1 <= tau:
-            # wide degree gap: one full division, then continue
-            q = _np_quotient(p, r0, d0, r1, d1)
-            t = _np_mul(p, q, r1)
-            nr = r0.copy()
-            nr[: len(t)] -= t
-            r0, r1 = r1, _np_trim(_np_rem(nr, p))
-            continue
-        (m00, m01, m10, m11), steps = _np_euclid_window(
-            p, r0[tau:], d0 - tau, r1[tau:], d1 - tau, h
-        )
-        if steps == 0:
-            q = _np_quotient(p, r0, d0, r1, d1)
-            t = _np_mul(p, q, r1)
-            nr = r0.copy()
-            nr[: len(t)] -= t
-            r0, r1 = r1, _np_trim(_np_rem(nr, p))
-            continue
-        nr0 = _np_add(p, _np_mul(p, _np_trim(m00), r0), _np_mul(p, _np_trim(m01), r1))
-        nr1 = _np_add(p, _np_mul(p, _np_trim(m10), r0), _np_mul(p, _np_trim(m11), r1))
-        if len(nr1) >= len(r1):  # nr0 may be r1 itself when deg r0 = deg r1
-            raise ArithmeticError("window reduction made no progress")
-        r0, r1 = nr0, nr1
-        if len(r0) < len(r1):
-            r0, r1 = r1, r0
-    if len(r1):
-        r0 = _np_classical_gcd(p, r0, r1)
-    return r0 * pow(int(r0[-1]), p - 2, p) % p
-
-
-def _np_add(p, a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = a.copy()
-    out[: len(b)] += b
-    return _np_trim(out % p)
+    if not len(r0):
+        raise InvalidInput("gcd(0, 0) undefined")
+    kept, G = _np_lockstep_gcd(p, r0[None], r1[None])
+    if not len(kept):
+        return np.array(_generic_monic_gcd(field, r0.tolist(), r1.tolist()), dtype=np.int64)
+    return G[0]
 
 
 # ---------------------------------------------------------------------------
@@ -472,188 +515,32 @@ def _generic_monic_gcd(field: Field, u, v):
 
 
 def monic_gcd(field: Field, u, v):
-    """Monic generator of the ideal (u, v); classical Euclid, block-accelerated
-    on large prime-field inputs and inverse-free on the F_{p^k} kernel.  Not
-    both inputs may be zero."""
+    """Monic generator of the ideal (u, v), for one pair or for a batch.
+
+    One pair: lists of field elements, or int64 arrays ((len,) over F_p,
+    (len, k) over F_{p^k}); returns the same kind.  Not both may be zero.
+
+    A batch: two int64 arrays whose rows are coefficient vectors of
+    residues, low degree first, one pair per row: (N, width) over F_p,
+    (N, width, k) over F_{p^k}.  Returns (G, lockstep): G holds the gcds
+    zero-padded to one width, and lockstep counts the rows that finished in
+    the shared pass (on the F_p numpy lane, those whose leading coefficients
+    are nonzero and whose remainder degrees never left the batch's).  No
+    pair of rows may be both zero."""
+    if isinstance(u, np.ndarray) and u.ndim == 2 + isinstance(field, ExtField):
+        return _monic_gcd_rows(field, u, v)
     ln = lane(field)
     if ln == LANE_FPK_KERNEL:
         return _ext_monic_gcd(field, u, v)
-    u_has = any(_nonzero(c) for c in u)
-    v_has = any(_nonzero(c) for c in v)
-    if not u_has and not v_has:
-        raise InvalidInput("gcd(0, 0) undefined")
-    if not u_has:
-        return monic(field, v) if isinstance(v, list) else _np_monic(field, v)
-    if not v_has:
-        return monic(field, u) if isinstance(u, list) else _np_monic(field, u)
     if ln == LANE_FP_NUMPY:
-        g = _np_monic_gcd(field.p, np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64))
-        return g if isinstance(u, np.ndarray) or isinstance(v, np.ndarray) else [int(c) for c in g]
+        g = _np_monic_gcd(field, u, v)
+        return g if isinstance(u, np.ndarray) or isinstance(v, np.ndarray) else g.tolist()
+    if not any(_nonzero(c) for c in u) and not any(_nonzero(c) for c in v):
+        raise InvalidInput("gcd(0, 0) undefined")
     return _generic_monic_gcd(field, u, v)
 
 
-def _np_monic(field, f):
-    f = _np_trim(np.asarray(f, dtype=np.int64) % field.p)
-    if not len(f):
-        return f
-    return f * pow(int(f[-1]), field.p - 2, field.p) % field.p
-
-
-def _np_window_rows(p, W0, d0, W1, d1, h):
-    """_np_euclid_window on the windows of all rows at once, for rows that
-    share their remainder degrees.  Stops before a quotient of degree two or
-    more (the caller divides fully); a row whose remainder degree falls
-    short of the others' leaves.  Returns the indices of the rows that
-    stayed, their matrix rows (u_prev, v_prev, u_cur, v_cur), the number of
-    steps and the window degree of the last divisor.
-
-    Steps are inverse-free, as in _np_lockstep_gcd: a quotient y q1 + q0 by
-    a divisor with leading coefficient c becomes r_next = c^2 r_prev -
-    c^2 (y q1 + q0) r_cur (c instead of c^2 when q1 = 0), so the matrix maps
-    the inputs to nonzero multiples of the remainders, which changes no
-    degree and no gcd.  Entries stay below 2 p^2 < 2^61 in size.
-
-    Each step touches only the columns in use: remainders up to degree d0,
-    and cofactors, whose degree top - d1 grows from 0 to about h, up to it.
-    Columns past a remainder's degree may hold stale values; none is read.
-    Columns past a cofactor's are never written, so they stay zero."""
-    n, top = W0.shape[0], d0
-    rem = np.zeros((2, n, d0 + 1), dtype=np.int64)  # r_prev, r_cur
-    cof = np.zeros((2, n, 2, max(top - h, 0) + 2), dtype=np.int64)  # their (u, v)
-    rem[0, :, : W0.shape[1]] = W0
-    rem[1, :, : W1.shape[1]] = W1
-    cof[0, :, 0, 0] = 1
-    cof[1, :, 1, 0] = 1
-    tmp_rem, tmp_cof = np.empty_like(rem[0]), np.empty_like(cof[0])
-    prev, cur = 0, 1
-    rows = np.arange(n)
-    steps = 0
-    while d1 >= h and d0 - d1 <= 1 and len(rows):
-        c, a1 = rem[cur, :, d1].copy(), rem[prev, :, d0].copy()  # P changes in place
-        if d0 == d1:
-            s, q0, q1 = c, a1, None
-        else:
-            s, q1 = c * c % p, c * a1 % p
-            q0 = (c * rem[prev, :, d0 - 1] - a1 * rem[cur, :, d1 - 1]) % p
-        wc = top - d1 + 1
-        for buf, tmp, w in ((rem, tmp_rem, d0 + 1), (cof, tmp_cof, wc)):
-            # r_next overwrites r_prev
-            P, C, T = buf[prev][..., :w], buf[cur][..., :w], tmp[..., :w]
-            shape = (-1,) + (1,) * (P.ndim - 1)
-            P *= s.reshape(shape)
-            np.multiply(C, q0.reshape(shape), out=T)
-            P -= T
-            if q1 is not None:
-                np.multiply(C[..., :-1], q1.reshape(shape), out=T[..., 1:])
-                P[..., 1:] -= T[..., 1:]
-            np.floor_divide(P, p, out=T)
-            T *= p
-            P -= T
-        prev, cur = cur, prev
-        d = d1 - 1
-        while d >= 0 and not rem[cur, :, d].any():
-            d -= 1
-        if d >= 0 and not rem[cur, :, d].all():
-            stay = rem[cur, :, d] != 0
-            rows, rem, cof = rows[stay], rem[:, stay], cof[:, stay]
-            tmp_rem, tmp_cof = tmp_rem[stay], tmp_cof[stay]
-        d0, d1 = d1, d
-        steps += 1
-    return rows, (cof[prev, :, 0], cof[prev, :, 1], cof[cur, :, 0], cof[cur, :, 1]), steps, d0
-
-
-def _np_lockstep_block(p, R0, R1):
-    """_np_monic_gcd's block phase on all row pairs at once: windows run in
-    lockstep (_np_window_rows), and each row's matrix is applied by FFT.
-    Rows must share their degrees (deg R0 >= deg R1); a row whose degrees
-    fall short of the others' leaves, and so does one whose new remainder
-    has another degree than its window's (the window lemma rules this out;
-    the row's gcd is then left to monic_gcd).  Returns the indices of the
-    rows that stayed and their pairs, with deg R0 below _BLOCK_MIN_DEG or
-    R1 zero."""
-    h = _BLOCK_H
-    rows = np.arange(len(R0))
-    while R0.shape[1] - 1 >= _BLOCK_MIN_DEG and R1.shape[1] and len(rows):
-        d0, d1 = R0.shape[1] - 1, R1.shape[1] - 1
-        tau = d0 - 2 * h
-        steps = 0
-        if d1 > tau:
-            kept, (m00, m01, m10, m11), steps, last = _np_window_rows(
-                p, R0[:, tau:], d0 - tau, R1[:, tau:], d1 - tau, h
-            )
-            rows, R0, R1 = rows[kept], R0[kept], R1[kept]
-        pairs = []
-        for i in range(len(rows)):
-            r0, r1 = R0[i], R1[i]
-            if steps == 0:
-                # wide degree gap: one full division
-                t = _np_mul(p, _np_quotient(p, r0, d0, r1, d1), r1)
-                nr = r0.copy()
-                nr[: len(t)] -= t
-                pairs.append((r1, _np_trim(_np_rem(nr, p))))
-                continue
-            nr0 = _np_add(p, _np_mul(p, _np_trim(m00[i]), r0), _np_mul(p, _np_trim(m01[i]), r1))
-            nr1 = _np_add(p, _np_mul(p, _np_trim(m10[i]), r0), _np_mul(p, _np_trim(m11[i]), r1))
-            pairs.append((nr0, nr1) if len(nr0) == tau + last + 1 else ((), ()))
-        shape = max((len(a), len(b)) for a, b in pairs) if pairs else (0, 0)
-        kept = [i for i, (a, b) in enumerate(pairs) if (len(a), len(b)) == shape and len(a)]
-        rows = rows[kept]
-        R0 = np.array([pairs[i][0] for i in kept], dtype=np.int64).reshape(len(kept), shape[0])
-        R1 = np.array([pairs[i][1] for i in kept], dtype=np.int64).reshape(len(kept), shape[1])
-        if shape[0] < shape[1]:
-            R0, R1 = R1, R0
-    return rows, R0, R1
-
-
-def _np_lockstep_gcd(p, R0, R1):
-    """Inverse-free Euclid on all row pairs at once, for rows of residues
-    whose degrees are the arrays' widths minus one (deg R0 >= deg R1; R1 may
-    be empty).
-
-    Each elimination step replaces r0 by lc(r1) r0 - lc(r0) y^s r1 in every
-    row, so entries stay below p^2 < 2^60.  The batch's remainder degree is
-    the largest among its rows (a special row can only fall short of the
-    generic degree); a row whose remainder falls short leaves.  Returns the
-    indices of the rows that stayed and their monic gcds.
-
-    Coefficients are stored one degree per row (transposed), so every step
-    works on contiguous memory."""
-    r0, r1 = R0.T.copy(), R1.T.copy()
-    rows = np.arange(len(R0))
-    d1 = len(r1) - 1
-    while d1 >= 0 and len(rows):
-        lc1 = r1[d1]
-        for top in range(len(r0) - 1, d1 - 1, -1):
-            head = r0[:top]  # column top cancels exactly and is dropped
-            head *= lc1
-            head[top - d1 :] -= r1[:d1] * r0[top]
-            _np_rem(head, p)
-        d = d1 - 1
-        while d >= 0 and not r0[d].any():
-            d -= 1
-        r0 = r0[: d + 1]
-        if d >= 0 and not r0[d].all():
-            stay = r0[d] != 0
-            rows, r0, r1 = rows[stay], r0[:, stay], r1[:, stay]
-        r0, r1, d1 = r1, r0, d
-    return rows, (r0 * np_powmod(r0[-1:], p - 2, p) % p).T
-
-
-def monic_gcd_rows(field: Field, U, V):
-    """Monic gcds of the row pairs (U[i], V[i]) of two int64 arrays whose rows
-    are coefficient vectors of residues, low degree first: (N, width) over
-    F_p, (N, width, k) over F_{p^k}.  Returns (G, lockstep): G holds the gcds
-    zero-padded to one width, and lockstep counts the rows that finished in
-    lockstep.
-
-    On the F_p numpy lane the rows whose leading coefficients are nonzero
-    run in lockstep: the block phase while the larger degree is at least
-    _BLOCK_MIN_DEG (_np_lockstep_block), then the inverse-free Euclid
-    (_np_lockstep_gcd).  They run in batches of at most _LOCKSTEP_ENTRIES
-    input coefficients, so the copies a batch makes stay small however wide
-    the rows are.  A row that leaves restarts from its inputs in
-    monic_gcd; every other lane runs monic_gcd row by row.  Not both rows
-    of a pair may be zero."""
+def _monic_gcd_rows(field: Field, U, V):
     N = len(U)
     done, lockstep = {}, 0
     if lane(field) == LANE_FP_NUMPY and N and min(U.shape[1], V.shape[1]) > 0:
@@ -664,9 +551,7 @@ def monic_gcd_rows(field: Field, U, V):
         for start in range(0, N, size):
             chunk = slice(start, start + size)
             rows = start + np.flatnonzero((U[chunk, -1] != 0) & (V[chunk, -1] != 0))
-            kept, R0, R1 = _np_lockstep_block(p, U[rows], V[rows])
-            rows = rows[kept]
-            kept, G = _np_lockstep_gcd(p, R0, R1)
+            kept, G = _np_lockstep_gcd(p, U[rows], V[rows])
             done.update(zip(rows[kept].tolist(), G))
         lockstep = len(done)
     generic = lane(field) == LANE_GENERIC

@@ -1,4 +1,4 @@
-"""monic_gcd_rows against the per-row monic_gcd.
+"""The batch form of monic_gcd against the generic lane's Euclid.
 
 Rows are built as g * a and g * b with one common g per batch, so at large p
 they follow one remainder degree sequence and run in lockstep.  Some rows get
@@ -14,9 +14,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spgcd.field import PrimeField, is_probable_prime
+from spgcd.engine import GcdConfig, gcd
+from spgcd.field import (
+    LANE_FPK_KERNEL,
+    LANE_GENERIC,
+    ExtField,
+    PrimeField,
+    elements,
+    find_irreducible,
+    is_probable_prime,
+    lane,
+)
+from spgcd.instances import gen_triple
+from spgcd.sparse import lex_monic
 from spgcd import unipoly
-from spgcd.unipoly import _BLOCK_MIN_DEG, _np_mul, monic, monic_gcd, monic_gcd_rows, trim
+from spgcd.unipoly import _BLOCK_MIN_DEG, _generic_monic_gcd, _np_mul, monic, monic_gcd, trim
 
 
 def largest_prime_below(n):
@@ -70,11 +82,11 @@ def as_rows(polys, width):
 
 
 def check_rows(field, U, V):
-    G, lockstep = monic_gcd_rows(field, U, V)
+    G, lockstep = monic_gcd(field, U, V)
     assert 0 <= lockstep <= len(U)
     for i in range(len(U)):
-        want = list(monic_gcd(field, U[i].tolist(), V[i].tolist()))
-        assert G[i, : len(want)].tolist() == want, i
+        want = _generic_monic_gcd(field, elements(field, U[i]), elements(field, V[i]))
+        assert elements(field, G[i, : len(want)]) == want, i
         assert not G[i, len(want) :].any(), i
     return lockstep
 
@@ -131,45 +143,61 @@ def test_wide_rows_match_monic_gcd(shape, p, kinds, seed):
 
 def test_wide_proportional_rows():
     # deg u = deg v past _BLOCK_MIN_DEG and v = c u: the first window step
-    # leaves a zero remainder, in the scalar and in the batch Euclid
+    # leaves a zero remainder, for one pair and for a batch
     field = PrimeField(10000019)
     u = rand_poly(field, _BLOCK_MIN_DEG + 100, random.Random(4))
     v = [field.mul(3, c) for c in u]
     want = monic(field, u)
     assert list(monic_gcd(field, u, v)) == want
-    G, lockstep = monic_gcd_rows(field, as_rows([u, u], len(u)), as_rows([v, u], len(u)))
+    G, lockstep = monic_gcd(field, as_rows([u, u], len(u)), as_rows([v, u], len(u)))
     assert lockstep == 2
     assert G.tolist() == [want, want]
 
 
 def test_rows_whose_window_disagrees_leave(monkeypatch):
     # a new remainder of another degree than its window predicts (which the
-    # window lemma rules out) sends the row to monic_gcd, even every row
+    # window lemma rules out) makes the row leave the batch, even every row;
+    # alone it leaves again, and _generic_monic_gcd finishes it
     real = unipoly._np_window_rows
 
     def off_by_one(*args):
-        rows, matrices, steps, last = real(*args)
-        return rows, matrices, steps, last + 1
+        rows, last, matrices = real(*args)
+        return rows, last + 1, matrices
 
     monkeypatch.setattr(unipoly, "_np_window_rows", off_by_one)
     dg, du, dv = WIDE_SHAPES[1]
     field, U, V = planted_batch(10000019, ["generic"] * 3, dg, du, dv, seed=3)
     assert check_rows(field, U, V) == 0
+    # and gcd() still answers: gcd(A, A) has wide images whose first window
+    # step leaves a zero remainder
+    A, _, _ = gen_triple(field, random.Random(5), 6, 30, 1600)
+    got, tr = gcd(field, A, A, GcdConfig(seed=1, omega=6, term_strategy="linear"))
+    assert got == lex_monic(field, A)
+    assert tr.lockstep_rows == 0
 
 
 def test_planted_rows_leave_the_lockstep():
     # at p = 10000019 the generic rows keep one degree sequence; each planted
-    # row departs from it and is finished by monic_gcd
+    # row departs from it and is finished alone
     kinds = ["generic"] * 8 + ["extra_factor", "lc_vanishes", "early_zero", "short_remainder"]
     random.Random(5).shuffle(kinds)
     field, U, V = planted_batch(10000019, kinds, 4, 12, 9, seed=11)
     assert check_rows(field, U, V) == 8
 
 
+def test_planted_rows_leave_the_wide_lockstep():
+    # past _BLOCK_MIN_DEG the generic rows also stay together after planted
+    # rows leave a window
+    kinds = ["generic", "early_zero", "generic", "short_remainder"]
+    dg, du, dv = WIDE_SHAPES[1]
+    field, U, V = planted_batch(10000019, kinds, dg, du, dv, seed=1286970023)
+    assert check_rows(field, U, V) == 2
+
+
 def test_single_row_and_other_lanes():
     field, U, V = planted_batch(10000019, ["generic"], 3, 8, 5, seed=2)
     assert check_rows(field, U, V) == 1
-    # p >= 2^30 is off the numpy lane: every row runs monic_gcd
+    # p >= 2^30 is off the numpy lane: every row is taken alone
     field, U, V = planted_batch(2**31 - 1, ["generic"] * 3, 3, 8, 5, seed=3)
     assert check_rows(field, U, V) == 0
 
@@ -182,3 +210,41 @@ def test_rows_split_into_batches(monkeypatch):
     field, U, V = planted_batch(10000019, kinds, 4, 12, 9, seed=7)
     assert U.shape[1] == 17
     assert check_rows(field, U, V) == 6
+
+
+@pytest.mark.parametrize("p", (101, 10000019, largest_prime_below(1 << 30)))
+def test_one_row_with_a_wide_first_quotient(p):
+    # high_degree's Stage II images: deg 1769 against 1542, so the first
+    # quotient, of degree 227, takes a window to itself; past 2^24 the window
+    # matrices are applied by np.convolve instead of FFT
+    field = PrimeField(p)
+    rng = random.Random(8)
+    g = rand_poly(field, 40, rng)
+    u, v = poly_mul(field, g, rand_poly(field, 1729, rng)), poly_mul(field, g, rand_poly(field, 1502, rng))
+    assert monic_gcd(field, u, v) == monic(field, g)
+    assert monic_gcd(field, v, u) == monic(field, g)
+
+
+@pytest.mark.parametrize(
+    "p, k, kind", [(101, 3, LANE_FPK_KERNEL), (2**31 - 1, 2, LANE_GENERIC)], ids=["kernel", "generic"]
+)
+def test_batch_on_extension_lanes(p, k, kind):
+    # F_{p^k} rows, on the kernel lane and where it does not fit; the second
+    # row has an extra common factor and the third a vanishing leading
+    # coefficient
+    rng = random.Random(9)
+    field = ExtField(p, find_irreducible(p, k, rng))
+    assert lane(field) == kind
+    g = rand_poly(field, 3, rng)
+    h = rand_poly(field, 1, rng)
+    pairs = []
+    for extra in ([field.one], h, [field.one]):  # deg a = 8, deg b = 6
+        a = unipoly.poly_mul(field, extra, rand_poly(field, 9 - len(extra), rng))
+        b = unipoly.poly_mul(field, extra, rand_poly(field, 7 - len(extra), rng))
+        pairs.append((unipoly.poly_mul(field, g, a), unipoly.poly_mul(field, g, b)))
+    pairs[2][0][-1] = field.zero
+    zero = (0,) * k
+    U = np.array([u + [zero] * (12 - len(u)) for u, _ in pairs], dtype=np.int64)
+    V = np.array([v + [zero] * (10 - len(v)) for _, v in pairs], dtype=np.int64)
+    assert U.shape == (3, 12, k)
+    assert check_rows(field, U, V) == 0

@@ -4,7 +4,7 @@ import pytest
 
 from spgcd.engine import GcdConfig, gcd, hankel_first_singular, primitive_gcd
 from spgcd.errors import InvalidInput
-from spgcd.field import LANE_FP_NUMPY, LANE_FPK_KERNEL, LANE_GENERIC, PrimeField
+from spgcd.field import LANE_FP_NUMPY, LANE_FPK_KERNEL, LANE_GENERIC, PrimeField, find_primitive_root
 from spgcd.instances import gen_triple, random_poly
 from spgcd.oracle import dense_gcd, divides_exactly, sparse_mul
 from spgcd.sparse import SparsePoly, homogenize, lex_monic, monomial_primitive
@@ -16,6 +16,20 @@ FP = PrimeField(10000019)
 
 def poly(field, nvars, terms):
     return SparsePoly.from_terms(field, nvars, terms)
+
+
+def bad_point_stream(p, count):
+    """(trial, field, omega, A, B) for planted instances over a small prime,
+    where bad evaluation points are common."""
+    field = PrimeField(p)
+    omega = find_primitive_root(field)
+    rng = random.Random(77)
+    for trial in range(count):
+        n = rng.randint(2, 3)
+        G0 = random_poly(field, rng, n, 3, 4)
+        A = sparse_mul(field, random_poly(field, rng, n, 3, 4), G0)
+        B = sparse_mul(field, random_poly(field, rng, n, 3, 4), G0)
+        yield trial, field, omega, A, B
 
 
 class TestHankel:
@@ -118,36 +132,51 @@ class TestGcdWrapper:
     def test_bad_points_recovered_by_retry(self):
         # base-field mode over a small prime: leading coefficients vanish at
         # some grid points and the engine must resample and still be exact
-        from spgcd.field import find_primitive_root
-
-        F211 = PrimeField(211)
-        omega = find_primitive_root(F211)
-        rng = random.Random(77)
-        retried = 0
-        for trial in range(60):
-            n = rng.randint(2, 3)
-            G0 = random_poly(F211, rng, n, 3, 4)
-            A = sparse_mul(F211, random_poly(F211, rng, n, 3, 4), G0)
-            B = sparse_mul(F211, random_poly(F211, rng, n, 3, 4), G0)
+        failures = {}
+        for trial, F211, omega, A, B in bad_point_stream(211, 60):
             got, tr = gcd(F211, A, B, GcdConfig(seed=trial, omega=omega, max_retries=12))
             assert got == dense_gcd(F211, A, B), trial
-            retried += tr.retries > 0
-        assert retried >= 1  # these seeds do hit bad points
+            if tr.failures:
+                failures[trial] = tr.failures
+        # these seeds do hit bad points, in this order
+        assert failures == {
+            34: ["IV: leading coefficient vanished"],
+            39: ["IV: image degree disagreement"] * 2,
+        }
+
+    def test_stage_ii_failures_keep_their_order(self):
+        # at p = 61 bad points also hit Stage II's images; each attempt must
+        # fail as if its images had been taken and checked one at a time
+        II_lc, II_deg = "II: leading coefficient vanished", "II: image degree disagreement"
+        IV_lc, IV_deg = "IV: leading coefficient vanished", "IV: image degree disagreement"
+        failures = {}
+        for trial, F61, omega, A, B in bad_point_stream(61, 60):
+            got, tr = gcd(F61, A, B, GcdConfig(seed=trial, omega=omega, max_retries=12))
+            assert got == dense_gcd(F61, A, B), trial
+            if tr.failures:
+                failures[trial] = tr.failures
+        assert failures == {
+            5: [II_deg],
+            6: [IV_deg],
+            7: [II_lc],
+            8: [IV_deg],
+            9: [IV_deg],
+            11: [II_deg, II_deg],
+            13: [IV_lc, IV_lc, II_deg, IV_lc, IV_lc],
+            15: [IV_deg],
+            23: [IV_lc, IV_lc],
+            27: [IV_deg],
+            34: [IV_deg],
+            35: [II_lc, II_lc, IV_deg, IV_lc],
+            49: [II_deg, IV_deg],
+            52: [IV_deg],
+        }
 
     def test_degree_disagreement_recovered_by_retry(self):
         # trial 39 of the instance stream above: in its first two attempts
         # some grid points give a univariate GCD of another degree, which
         # aborts Stage IV; the third attempt is exact
-        from spgcd.field import find_primitive_root
-
-        F211 = PrimeField(211)
-        omega = find_primitive_root(F211)
-        rng = random.Random(77)
-        for trial in range(40):
-            n = rng.randint(2, 3)
-            G0 = random_poly(F211, rng, n, 3, 4)
-            A = sparse_mul(F211, random_poly(F211, rng, n, 3, 4), G0)
-            B = sparse_mul(F211, random_poly(F211, rng, n, 3, 4), G0)
+        _, F211, omega, A, B = list(bad_point_stream(211, 40))[-1]
         got, tr = gcd(F211, A, B, GcdConfig(seed=39, omega=omega, max_retries=12))
         assert tr.failures == ["IV: image degree disagreement"] * 2
         assert got == dense_gcd(F211, A, B)
