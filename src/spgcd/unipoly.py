@@ -22,10 +22,11 @@ the top coefficients of all rows at once (they agree with the true
 quotients while remainder degrees stay in the window's upper half) and
 applies each row's 2x2 transition matrix to its full vectors by FFT.
 Below it the Euclid runs on the whole rows.  Both phases are inverse-free:
-a quotient of degree one by a divisor with leading coefficient c becomes
-one pass r0 <- c^2 r0 - (y q1 + q0) r1, any other quotient one elimination
-r0 <- c r0 - a y^s r1 per coefficient, so entries stay below 2 p^2 < 2^61,
-and one inversion per row at the end makes the results monic.  A row whose
+with c the divisor's leading coefficient, one pass r0 <- c^2 r0 - (y q1 +
+q0) y^s r1 cancels two quotient coefficients (so a quotient of degree one
+takes one pass), a last single one takes r0 <- c r0 - a r1, entries stay
+below 2 p^2 < 2^61, and one inversion per row at the end makes the results
+monic.  A row whose
 remainder degree departs from the batch's leaves and is finished from its
 inputs as a batch of one.  Rows run in batches of at most
 _LOCKSTEP_ENTRIES coefficients, which bounds the copies on wide rows.
@@ -51,7 +52,7 @@ from .field import (
 
 _FFT_MAX_P = 1 << 24  # 8-bit digit split keeps FFT rounding below 1/4
 _FFT_MIN_SIZE = 24_000  # MAC count under which np.convolve wins
-_BLOCK_H = 512  # least Lehmer window half-size
+_BLOCK_H = 512  # Lehmer window half-size
 _BLOCK_MIN_DEG = 3 * _BLOCK_H  # no block phase below this degree
 _LOCKSTEP_ENTRIES = 1 << 16  # rows x width of one lockstep batch
 
@@ -259,13 +260,13 @@ def _np_window_rows(p, W0, W1, h):
     the indices of the rows that stayed, the window degree of their last
     divisor and their matrix rows (u_prev, v_prev, u_cur, v_cur).
 
-    Steps are inverse-free.  With c the divisor's leading coefficient, a
-    quotient y q1 + q0 becomes r_next = c^2 r_prev - c^2 (y q1 + q0) r_cur
-    in one pass; a quotient of degree 0 or 2 and more becomes one
-    elimination r_prev <- c r_prev - a y^s r_cur per coefficient a it
-    cancels.  So the matrix maps the inputs to nonzero multiples of the
-    remainders, which changes no degree and no gcd, and entries stay below
-    2 p^2 < 2^61 in size.
+    Steps are inverse-free.  With c y^d1 + e y^(d1-1) + ... the divisor and
+    a y^t + b y^(t-1) + ... the dividend, one pass cancels two quotient
+    coefficients, r_prev <- c^2 r_prev - (c a y + c b - a e) y^(t-1-d1)
+    r_cur, and a last single one takes r_prev <- c r_prev - a r_cur.  So
+    the matrix maps the inputs to nonzero multiples of the remainders,
+    which changes no degree and no gcd, and entries stay below 2 p^2 <
+    2^61 in size.
 
     Each row holds u, v and then r, so a step is one pass over contiguous
     memory; a shift by y^s moves coefficients along the flattened rows.
@@ -301,13 +302,14 @@ def _np_window_rows(p, W0, W1, h):
 
     while d1 >= h and len(rows):
         c = R[cur, :, d1, None].copy()
-        if d0 - d1 == 1:
-            a = R[prev, :, d0, None]
-            q0 = (c * R[prev, :, d0 - 1, None] - a * R[cur, :, d1 - 1, None]) % p_arr
-            eliminate(c * c % p_arr, q0, c * a % p_arr, 0)
-        else:
-            for t in range(d0, d1 - 1, -1):
-                eliminate(c, R[prev, :, t, None].copy(), None, t - d1)
+        e = R[cur, :, d1 - 1, None] if d1 else 0
+        t = d0
+        while t > d1:  # two quotient coefficients a y^(t-d1) + b y^(t-1-d1) per pass
+            a, b = R[prev, :, t, None], R[prev, :, t - 1, None]
+            eliminate(c * c % p_arr, (c * b - a * e) % p_arr, c * a % p_arr, t - 1 - d1)
+            t -= 2
+        if t == d1:
+            eliminate(c, R[prev, :, t, None].copy(), None, 0)
         prev, cur = cur, prev
         d, stay = _np_top_degree(R[cur].T, d1 - 1)
         if stay is not None:  # copy() keeps buf C-contiguous, so reshape(-1) is a view
@@ -368,25 +370,24 @@ def _np_lockstep_gcd(p, R0, R1):
     d1 = len(r1) - 1
     p_arr = np.array(p)  # numpy takes a 0-d array operand faster than an int
     while d1 >= 0 and len(rows):
-        c = r1[d1]
-        if len(r0) - d1 == 2:
-            # r0 = a y^(d1+1) + b y^d1 + ..., r1 = c y^d1 + e y^(d1-1) + ...:
-            # r0 <- c^2 r0 - (c a y + c b - a e) r1 in one pass
-            q = r0[d1:] * c  # c b, c a
-            if d1:
-                q[0] -= r0[d1 + 1] * r1[d1 - 1]
+        c, e = r1[d1], r1[d1 - 1] if d1 else 0
+        top = len(r0) - 1
+        while top > d1:  # two quotient coefficients per pass, as in _np_window_rows
+            s = top - 1 - d1
+            q = r0[top - 1 : top + 1] * c  # c b, c a
+            q[0] -= r0[top] * e
             q %= p_arr
-            head = r0[:d1]
+            head = r0[: top - 1]  # columns top - 1 and top cancel exactly and are dropped
             head *= c * c % p_arr
-            head -= r1[:d1] * q[0]
-            head[1:] -= r1[: d1 - 1] * q[1]
+            head[s:] -= r1[:d1] * q[0]
+            head[s + 1 :] -= r1[: d1 - 1] * q[1]
             _np_rem(head, p_arr)
-        else:
-            for top in range(len(r0) - 1, d1 - 1, -1):
-                head = r0[:top]  # column top cancels exactly and is dropped
-                head *= c
-                head[top - d1 :] -= r1[:d1] * r0[top]
-                _np_rem(head, p_arr)
+            top -= 2
+        if top == d1:
+            head = r0[:top]
+            head *= c
+            head -= r1[:d1] * r0[top]
+            _np_rem(head, p_arr)
         d, stay = _np_top_degree(r0, d1 - 1)
         r0 = r0[: d + 1]
         if stay is not None:
