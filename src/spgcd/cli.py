@@ -70,6 +70,7 @@ def cmd_gcd(args) -> int:
     try:
         field_a, A = polyfile.read(args.file_a)
         field_b, B = polyfile.read(args.file_b)
+        seed = _resolve_seed(args.seed)
     except (InvalidInput, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -78,7 +79,7 @@ def cmd_gcd(args) -> int:
         return EXIT_USAGE
     cfg = GcdConfig(
         epsilon=args.epsilon,
-        seed=_resolve_seed(args.seed),
+        seed=seed,
         max_retries=args.retries,
         term_strategy=args.term_strategy,
         omega=_resolve_omega(args.omega, field_a.p),

@@ -56,7 +56,6 @@ import numpy as np
 from .errors import GcdFailure, InterpolationError, InvalidInput
 from .field import (
     LANE_FP_NUMPY,
-    LANE_FPK_KERNEL,
     ExtField,
     Field,
     PrimeField,
@@ -240,11 +239,8 @@ def _degrees(support) -> np.ndarray:
 
 def _scale_rows(field, X, scales) -> np.ndarray:
     """Row i of the int64 array X times scales[i], as an int64 array."""
-    ln = lane(field)
-    if ln == LANE_FP_NUMPY:
-        return X * np.array(scales, dtype=np.int64)[:, None] % field.p
-    if ln == LANE_FPK_KERNEL:
-        kern = field.kernel
+    kern = field.kernel
+    if kern is not None:
         return kern.mul(kern.array(scales)[:, None], X)
     rows = [[field.mul(c, s) for c in row] for row, s in zip(elements(field, X), scales)]
     return np.array(rows, dtype=np.int64)

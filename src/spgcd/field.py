@@ -4,10 +4,13 @@ Elements of F_p are plain ints in [0, p); elements of F_{p^k} are k-tuples of
 ints (coefficients of the residue polynomial, low degree first).  Fields are
 immutable after construction and all operations are pure.
 
-Every layer runs a field's vector arithmetic on the lane that ``lane`` names:
-numpy int64 vectors for F_p with p < 2^30, the ``ExtKernel`` on (..., k)
-int64 arrays for F_{p^k} with (p - 1)^2 k < 2^62, and python scalars and
-k-tuples (the generic lane) for every other field.
+Every field carries its vector arithmetic as ``field.kernel``: a
+``PrimeKernel`` on int64 arrays of residues for F_p with p < 2^30, an
+``ExtKernel`` on (..., k) int64 arrays for F_{p^k} with (p - 1)^2 k < 2^62,
+and None for every other field, which keeps python scalars and k-tuples (the
+generic lane).  Both kernels share one interface, so a layer runs "kernel or
+generic".  ``lane`` names a field's kernel, for traces and for the code that
+keeps one routine per kernel (unipoly's Euclids, the engine's Hankel test).
 """
 
 from __future__ import annotations
@@ -131,7 +134,7 @@ def factorize(n: int, rng: random.Random | None = None, rho_iters: int = 2_000_0
 class PrimeField:
     """F_p with elements represented as ints in [0, p)."""
 
-    __slots__ = ("p", "k", "order", "zero", "one")
+    __slots__ = ("p", "k", "order", "zero", "one", "kernel")
 
     def __init__(self, p: int):
         if not (2 <= p < MAX_MODULUS):
@@ -143,6 +146,7 @@ class PrimeField:
         self.order = p
         self.zero = 0
         self.one = 1 % p
+        self.kernel = PrimeKernel(p) if PrimeKernel.fits(p) else None
 
     def __repr__(self):
         return f"PrimeField({self.p})"
@@ -328,7 +332,89 @@ class ExtField:
                 return a
 
 
-class ExtKernel:
+class _Kernel:
+    """Vector arithmetic on int64 arrays of reduced residues whose trailing
+    axes, of shape ``shape``, hold one element each.  A subclass gives the
+    F_p-linear map of multiplication by an element (``matrices``) and its
+    application (``apply``); powers are written once, here."""
+
+    __slots__ = ("p", "shape", "unit", "lane")
+
+    def array(self, elts) -> np.ndarray:
+        """(len(elts), *shape) array of a sequence of elements."""
+        return np.array(elts, dtype=np.int64).reshape((-1,) + self.shape)
+
+    def mul(self, a, b) -> np.ndarray:
+        """Elementwise (broadcasting) product."""
+        return self.apply(self.matrices(a), b)
+
+    def _lift(self, e: np.ndarray) -> np.ndarray:
+        """e with a unit axis for each element axis, to index or mask elements."""
+        return e.reshape(e.shape + (1,) * len(self.shape))
+
+    def pow(self, x, e) -> np.ndarray:
+        """x^e for the elements x (..., *shape) and exponents e (rows, ...),
+        whose trailing shape broadcasts against x's leading one; the result
+        is (rows, ..., *shape).  Gathers from a power table when it has no
+        more rows than e, else runs square-and-multiply over the exponent
+        bits, so time and memory never grow linearly with the largest
+        exponent."""
+        x = np.asarray(x, dtype=np.int64)
+        e = np.array(e, dtype=np.int64)
+        top = int(e.max(initial=0))
+        if top < len(e):
+            table = self.powers(x, top)
+            lead = e.ndim + len(self.shape) - table.ndim
+            table = table.reshape(table.shape[:1] + (1,) * lead + table.shape[1:])
+            return np.take_along_axis(table, self._lift(e), axis=0)
+        out = np.zeros(e.shape + self.shape, dtype=np.int64) + self.unit
+        while e.any():
+            out = np.where(self._lift(e & 1).astype(bool), self.mul(out, x), out)
+            x = self.mul(x, x)
+            e >>= 1
+        return out
+
+    def powers(self, x, e: int) -> np.ndarray:
+        """(e + 1, ..., *shape) table of x^0, ..., x^e for the elements x,
+        filled by doubling."""
+        step = np.asarray(x, dtype=np.int64)  # x^n while rows [0, n) are filled
+        out = np.zeros((e + 1,) + step.shape, dtype=np.int64)
+        out[0] = self.unit
+        n = 1
+        while n <= e:
+            m = min(n, e + 1 - n)
+            mat = self.matrices(step)
+            out[n : n + m] = self.apply(mat, out[:m])
+            n += m
+            if n <= e:
+                step = self.apply(mat, step)
+        return out
+
+
+class PrimeKernel(_Kernel):
+    """Vector arithmetic over F_p on int64 arrays of residues (element shape
+    ()): multiplication by a is the scalar a.  It exists while p < NP_MAX_P
+    (``fits``), the bound unipoly's inverse-free Euclid needs (2 p^2 <
+    2^61); larger primes keep the generic lane."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def fits(p: int) -> bool:
+        return p < NP_MAX_P
+
+    def __init__(self, p: int):
+        self.p, self.shape, self.unit = p, (), 1
+        self.lane = LANE_FP_NUMPY
+
+    def matrices(self, a) -> np.ndarray:
+        return np.asarray(a, dtype=np.int64) % self.p
+
+    def apply(self, m: np.ndarray, b) -> np.ndarray:
+        return m * np.asarray(b) % self.p
+
+
+class ExtKernel(_Kernel):
     """Vector arithmetic over F_{p^k} on int64 arrays of shape (..., k): the
     last axis holds one element's coefficients, reduced mod p.
 
@@ -338,7 +424,7 @@ class ExtKernel:
     (p - 1)^2 k < 2^62 (``fits``); larger fields keep the generic lane.
     """
 
-    __slots__ = ("p", "k", "zflat")
+    __slots__ = ("k", "zflat")
 
     @staticmethod
     def fits(p: int, k: int) -> bool:
@@ -353,12 +439,9 @@ class ExtKernel:
         idx = np.arange(k)
         # zstack[i, r, c] = coefficient r of z^(i + c); kept as (k, k * k)
         zstack = zpow[idx[:, None] + idx[None, :]].transpose(0, 2, 1)
-        self.p, self.k = p, k
+        self.p, self.k, self.shape, self.unit = p, k, (k,), zpow[0]
+        self.lane = LANE_FPK_KERNEL
         self.zflat = np.ascontiguousarray(zstack).reshape(k, k * k)
-
-    def array(self, elts) -> np.ndarray:
-        """(len(elts), k) array of a sequence of k-tuples."""
-        return np.array(elts, dtype=np.int64).reshape(-1, self.k)
 
     def matrices(self, a) -> np.ndarray:
         """Multiplication matrices (..., k, k) of the elements a (..., k)."""
@@ -369,69 +452,13 @@ class ExtKernel:
         """Elementwise products of the elements with matrices m and b."""
         return np.matmul(m, np.asarray(b)[..., None])[..., 0] % self.p
 
-    def mul(self, a, b) -> np.ndarray:
-        """Elementwise (broadcasting) product."""
-        return self.apply(self.matrices(a), b)
-
-    def pow(self, x, e) -> np.ndarray:
-        """x^e for the elements x (..., k) and exponents e (rows, ...), whose
-        trailing shape broadcasts against x's leading one; the result is
-        (rows, ..., k).  Gathers from a power table when it has no more rows
-        than e, else runs square-and-multiply over the exponent bits, so
-        time and memory never grow linearly with the largest exponent."""
-        x = np.asarray(x, dtype=np.int64)
-        e = np.array(e, dtype=np.int64)
-        top = int(e.max(initial=0))
-        if top < len(e):
-            table = self.powers(x, top)
-            table = table.reshape(table.shape[:1] + (1,) * (e.ndim + 1 - table.ndim) + table.shape[1:])
-            return np.take_along_axis(table, e[..., None], axis=0)
-        out = np.zeros(e.shape + (self.k,), dtype=np.int64)
-        out[..., 0] = 1
-        while e.any():
-            out = np.where((e & 1).astype(bool)[..., None], self.mul(out, x), out)
-            x = self.mul(x, x)
-            e >>= 1
-        return out
-
-    def powers(self, x, e: int) -> np.ndarray:
-        """(e + 1, ..., k) table of x^0, ..., x^e for the elements x (..., k),
-        filled by doubling."""
-        step = np.asarray(x, dtype=np.int64)  # x^n while rows [0, n) are filled
-        out = np.zeros((e + 1,) + step.shape, dtype=np.int64)
-        out[0, ..., 0] = 1
-        n = 1
-        while n <= e:
-            m = min(n, e + 1 - n)
-            mat = self.matrices(step)
-            out[n : n + m] = self.apply(mat, out[:m])
-            n += m
-            if n <= e:
-                step = self.apply(mat, step)
-        return out
-
 
 Field = PrimeField | ExtField
 
 
 def lane(field: Field) -> str:
-    """The arithmetic lane every layer uses for field's vectors."""
-    if isinstance(field, PrimeField):
-        return LANE_FP_NUMPY if field.p < NP_MAX_P else LANE_GENERIC
-    return LANE_FPK_KERNEL if field.kernel is not None else LANE_GENERIC
-
-
-def np_powmod(base, e, p: int) -> np.ndarray:
-    """base^e mod p elementwise (broadcasting) for p < NP_MAX_P, by one
-    square-and-multiply over the bits of e."""
-    e = np.array(e, dtype=np.int64)
-    base = np.asarray(base, dtype=np.int64) % p
-    out = np.ones(np.broadcast_shapes(base.shape, e.shape), dtype=np.int64)
-    while e.any():
-        out = np.where((e & 1).astype(bool), out * base % p, out)
-        base = base * base % p
-        e >>= 1
-    return out
+    """The name of the arithmetic lane field's vectors run on."""
+    return field.kernel.lane if field.kernel is not None else LANE_GENERIC
 
 
 def elements(field: Field, a) -> list:
@@ -455,83 +482,24 @@ def prod(field: Field, elts) -> object:
     return out
 
 
-# ---------------------------------------------------------------------------
-# dense univariate helpers over F_p (int lists, low degree first) used by the
-# irreducibility machinery; the general-purpose versions live in unipoly.
-# ---------------------------------------------------------------------------
-
-
-def _ptrim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _pmulmod(a, b, f, p):
-    n = len(f) - 1
-    full = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                full[i + j] += ai * bj
-    full = [c % p for c in full]
-    inv_lc = pow(f[-1], p - 2, p)
-    for idx in range(len(full) - 1, n - 1, -1):
-        c = full[idx] * inv_lc % p
-        if c:
-            for j in range(n + 1):
-                full[idx - n + j] = (full[idx - n + j] - c * f[j]) % p
-    return _ptrim(full[:n])
-
-
-def _ppowmod(a, e: int, f, p):
-    result = [1]
-    base = list(a)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, f, p)
-        base = _pmulmod(base, base, f, p)
-        e >>= 1
-    return result
-
-
-def _pgcd(a, b, p):
-    r0, r1 = _ptrim(list(a)), _ptrim(list(b))
-    while r1:
-        d0, d1 = len(r0) - 1, len(r1) - 1
-        if d0 < d1:
-            r0, r1 = r1, r0
-            continue
-        q = r0[-1] * pow(r1[-1], p - 2, p) % p
-        shift = d0 - d1
-        for j in range(d1 + 1):
-            r0[shift + j] = (r0[shift + j] - q * r1[j]) % p
-        _ptrim(r0)
-        if len(r0) - 1 < d1 or not r0:
-            r0, r1 = r1, r0
-    return r0
-
-
 def is_irreducible(f: tuple, p: int) -> bool:
-    """Frobenius test: x^(p^k) = x mod f and gcd(x^(p^(k/r)) - x, f) = 1."""
+    """Rabin's test for f monic of degree k over F_p, run in the ring
+    F_p[z]/(f): f is irreducible iff z^(p^k) = z and, for each prime r | k,
+    z^(p^(k/r)) - z is a unit, that is coprime to f."""
     k = len(f) - 1
     if k == 1:
         return True
-    fl = [c % p for c in f]
-    x = [0, 1]
-    xq = _ppowmod(x, p**k, fl, p)
-    diff = _ptrim([(a - b) % p for a, b in zip(xq + [0] * 2, x + [0] * len(xq))])
-    if diff:
+    ring = ExtField(p, f)
+    z = (0, 1) + (0,) * (k - 2)
+    frob = [z]  # z^(p^j) for j = 0..k, by k Frobenius steps
+    for _ in range(k):
+        frob.append(ring.pow_(frob[-1], p))
+    if frob[k] != z:
         return False
     for r in factorize(k):
-        xe = _ppowmod(x, p ** (k // r), fl, p)
-        m = max(len(xe), 2)
-        diff = [(0)] * m
-        for i, c in enumerate(xe):
-            diff[i] = c
-        diff[1] = (diff[1] - 1) % p
-        g = _pgcd(diff, fl, p)
-        if len(g) != 1:
+        try:
+            ring.inv(ring.sub(frob[k // r], z))
+        except DivisionByZero:
             return False
     return True
 

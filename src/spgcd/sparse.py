@@ -12,17 +12,7 @@ import random
 import numpy as np
 
 from .errors import InvalidInput, SpgcdError, ZeroPolynomial, ZeroScale
-from .field import (
-    LANE_FP_NUMPY,
-    LANE_FPK_KERNEL,
-    LANE_GENERIC,
-    ExtField,
-    Field,
-    PrimeField,
-    elements,
-    lane,
-    np_powmod,
-)
+from .field import ExtField, Field, PrimeField, elements
 
 
 def _as_field_coeff(field: Field, c):
@@ -107,11 +97,7 @@ class SparsePoly:
     def evaluate(self, field: Field, point):
         acc = field.zero
         for c, e in self.terms():
-            v = _as_field_coeff(field, c)
-            for x, k in zip(point, e):
-                if k:
-                    v = field.mul(v, field.pow_(x, k))
-            acc = field.add(acc, v)
+            acc = field.add(acc, field.mul(_as_field_coeff(field, c), _monomial(field, e, point)))
         return acc
 
     def __eq__(self, other):
@@ -296,13 +282,7 @@ def diversify(field: Field, f: SparsePoly, zeta) -> SparsePoly:
     zeta = tuple(zeta)
     if any(z == field.zero for z in zeta):
         raise ZeroScale("diversifier coordinates must be nonzero")
-    coeffs = []
-    for c, e in f.terms():
-        v = _as_field_coeff(field, c)
-        for z, k in zip(zeta, e):
-            if k:
-                v = field.mul(v, field.pow_(z, k))
-        coeffs.append(v)
+    coeffs = (field.mul(_as_field_coeff(field, c), _monomial(field, e, zeta)) for c, e in f.terms())
     return SparsePoly(f.nvars, tuple(coeffs), f.exps)
 
 
@@ -315,33 +295,27 @@ def undiversify(field: Field, f: SparsePoly, zeta) -> SparsePoly:
 # ---------------------------------------------------------------------------
 
 
+def _monomial(field: Field, e, point):
+    """The monomial x^e at point, on the generic lane."""
+    v = field.one
+    for x, k in zip(point, e):
+        if k:
+            v = field.mul(v, field.pow_(x, k))
+    return v
+
+
 def _monomial_values(field: Field, exps, point):
-    """M_j(point) for every exponent vector, in term order: the powers of all
-    coordinates for the whole exponent matrix at once (np_powmod over F_p,
-    ExtKernel.pow over F_{p^k}), then one product across its columns."""
-    ln = lane(field) if exps else LANE_GENERIC
-    if ln == LANE_FP_NUMPY:
-        p = field.p
-        factors = np_powmod(np.array(point, dtype=np.int64), np.array(exps, dtype=np.int64), p)
-        out = np.ones(len(exps), dtype=np.int64)
-        for l in range(factors.shape[1]):
-            out = out * factors[:, l] % p
-        return out
-    if ln == LANE_FPK_KERNEL:
-        kern = field.kernel
+    """M_j(point) for every exponent vector, in term order.  On the field's
+    kernel: the powers of all coordinates for the whole exponent matrix at
+    once, then one product across its columns."""
+    kern = field.kernel
+    if kern is not None and exps:
         factors = kern.pow(kern.array(point), np.array(exps, dtype=np.int64))
         out = kern.array([field.one] * len(exps))
         for l in range(factors.shape[1]):
             out = kern.mul(out, factors[:, l])
         return out
-    vals = []
-    for e in exps:
-        v = field.one
-        for x, k in zip(point, e):
-            if k:
-                v = field.mul(v, field.pow_(x, k))
-        vals.append(v)
-    return vals
+    return [_monomial(field, e, point) for e in exps]
 
 
 def eval_at_powers(field: Field, f: SparsePoly, alpha, count: int):
@@ -355,19 +329,9 @@ def eval_at_powers(field: Field, f: SparsePoly, alpha, count: int):
     if f.is_zero:
         return [field.zero] * count
     mvals = _monomial_values(field, f.exps, alpha)
-    ln = lane(field)
-    if ln == LANE_FP_NUMPY:
-        p = field.p
-        coeffs = np.array(f.coeffs, dtype=np.int64)
-        running = np.ones(len(mvals), dtype=np.int64)
-        out = []
-        for _ in range(count):
-            running = running * mvals % p
-            out.append(int(np.sum(coeffs * running % p) % p))
-        return out
-    if ln == LANE_FPK_KERNEL:
+    kern = field.kernel
+    if kern is not None:
         # running term values c_j M_j^i, one batched product per point
-        kern = field.kernel
         mmats = kern.matrices(mvals)
         running = kern.array([_as_field_coeff(field, c) for c in f.coeffs])
         out = []
@@ -392,20 +356,20 @@ class PowerImageEvaluator:
     multiplications.  The monomial values M_j(beta) are computed once, and
     grid reuses them for the sequences with one coordinate shifted.
 
-    Images are int64 vectors on the F_p numpy lane and (width, k) int64
-    arrays on the F_{p^k} kernel, where the running values are the terms
-    c_j M_j(beta)^i, advanced by one batched product and summed by y-degree
-    with one reduceat.  The generic lane keeps the powers M_j^i and returns
-    lists of field elements."""
+    On the field's kernel images are int64 arrays, (width,) over F_p and
+    (width, k) over F_{p^k}; the running values are the terms c_j M_j(beta)^i,
+    advanced by one batched product and summed by y-degree with one
+    reduceat.  Without a kernel (the generic lane) the evaluator keeps the
+    powers M_j^i and returns lists of field elements."""
 
     def __init__(self, field: Field, homo: HomoPoly, beta):
         self.field = field
         self.homo = homo
-        self.lane = lane(field)
+        self.kernel = field.kernel
         coeffs = [_as_field_coeff(field, c) for c in homo.source.coeffs]
         mvals = _monomial_values(field, homo.source.exps, beta)
         self.width = homo.max_ydeg + 1
-        if self.lane == LANE_GENERIC:
+        if self.kernel is None:
             self.mvals = mvals
             self.coeffs = coeffs
             self.ydegs = homo.ydegs
@@ -418,26 +382,18 @@ class PowerImageEvaluator:
         self.starts = np.flatnonzero(np.r_[True, ydegs[1:] != ydegs[:-1]])
         self.segment_ydegs = ydegs[self.starts]
         self.exps = np.array(homo.source.exps, dtype=np.int64)[order]
-        if self.lane == LANE_FP_NUMPY:
-            self.mvals = mvals[order]
-            self.coeffs = np.array(coeffs, dtype=np.int64)[order]
-        else:
-            self.mvals = field.kernel.matrices(mvals[order])
-            self.coeffs = field.kernel.array(coeffs)[order]
+        self.mvals = self.kernel.matrices(mvals[order])
+        self.coeffs = self.kernel.array(coeffs)[order]
         self.running = self.coeffs
 
     def _starts(self, omega):
         """Running values at i = 0 of the sequences with x_k -> omega * x_k,
-        one row per k (fast lanes): term j starts at c_j omega^(e_jk)."""
-        if self.lane == LANE_FP_NUMPY:
-            return self.coeffs * np_powmod(omega, self.exps.T, self.field.p) % self.field.p
-        kern = self.field.kernel
-        return kern.mul(self.coeffs, kern.pow(omega, self.exps).transpose(1, 0, 2))
+        one row per k (on the kernel): term j starts at c_j omega^(e_jk)."""
+        kern = self.kernel
+        return kern.mul(self.coeffs, np.moveaxis(kern.pow(omega, self.exps), 1, 0))
 
     def _advance(self, running):
-        if self.lane == LANE_FP_NUMPY:
-            return running * self.mvals % self.field.p
-        return self.field.kernel.apply(self.mvals, running)
+        return self.kernel.apply(self.mvals, running)
 
     def _images(self, running):
         """Images (rows, width[, k]) of running term values (rows, #F[, k])."""
@@ -448,7 +404,7 @@ class PowerImageEvaluator:
 
     def next_image(self):
         """Image at the next power; dense vector of length max_ydeg + 1."""
-        if self.lane != LANE_GENERIC:
+        if self.kernel is not None:
             self.running = self._advance(self.running)
             return self._images(self.running[None])[0]
         f = self.field
@@ -464,7 +420,7 @@ class PowerImageEvaluator:
         k = 0..n-1, as one int64 array of (n + 1) * count rows, row-major by
         sequence: (rows, width) over F_p, (rows, width, k) over F_{p^k}.
         Independent of earlier next_image calls."""
-        if self.lane == LANE_GENERIC:
+        if self.kernel is None:
             field, exps = self.field, self.homo.source.exps
             images = []
             for k in range(-1, self.homo.nvars):

@@ -36,6 +36,7 @@ Other lanes take the pairs of a batch one at a time.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import numpy as np
 
@@ -121,22 +122,15 @@ def poly_mulmod(field: Field, a, b, f):
 def poly_powmod(field: Field, a, e: int, f):
     if lane(field) == LANE_FPK_KERNEL and len(trim(list(f))) > 1:
         mod = _ExtModulus(field, f)
-        base = mod.residue(a)
-        result = mod.residue([field.one])
-        while e:
-            if e & 1:
-                result = mod.mulmod(result, base)
-            base = mod.mulmod(base, base)
-            e >>= 1
-        return trim(elements(field, result))
-    result = [field.one]
-    base = list(a)
+        mulmod, result, base = mod.mulmod, mod.residue([field.one]), mod.residue(a)
+    else:
+        mulmod, result, base = partial(poly_mulmod, field, f=f), [field.one], list(a)
     while e:
         if e & 1:
-            result = poly_mulmod(field, result, base, f)
-        base = poly_mulmod(field, base, base, f)
+            result = mulmod(result, base)
+        base = mulmod(base, base)
         e >>= 1
-    return result
+    return trim(elements(field, result)) if isinstance(result, np.ndarray) else result
 
 
 def monic(field: Field, f):
@@ -656,6 +650,8 @@ def find_roots(field: Field, f, rng: random.Random):
     n = len(f) - 1
     if n == 0:
         return []
+    if n == 1:  # a monic linear f always has its root in the field
+        return [field.neg(f[0])]
     # keep only the part that splits into distinct linear factors
     xq = poly_powmod(field, [field.zero, field.one], field.order, f)
     xq = list(xq) + [field.zero] * max(0, 2 - len(xq))

@@ -78,6 +78,11 @@ class TestSeedsAndFailures:
         assert run(["gcd", triple["A"], triple["B"], "-o", str(o2)]) == 0
         assert o1.read_bytes() == o2.read_bytes()
 
+    def test_bad_env_seed_is_a_usage_error(self, triple, monkeypatch, capsys):
+        monkeypatch.setenv("SPGCD_SEED", "abc")
+        assert run(["gcd", triple["A"], triple["B"]]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_failure_exit_code(self, triple, monkeypatch):
         import spgcd.cli as cli_mod
         from spgcd.errors import GcdFailure

@@ -1,8 +1,9 @@
-"""The F_{p^k} kernel against the generic ExtField lane at the int64 bound.
+"""The F_p and F_{p^k} kernels against the generic lane at their int64 bounds.
 
-The kernel runs when (p - 1)^2 k < 2^62.  Each field below is either small
-(p in {2, 3}), mid-sized (p = 1000003) or the largest prime under that bound
-for its k, where a missed reduction would overflow int64.
+The F_p kernel runs when p < 2^30 and the F_{p^k} kernel when
+(p - 1)^2 k < 2^62.  Each field below is either small (p in {2, 3}),
+mid-sized (p = 1000003) or the largest prime under its kernel's bound, where
+a missed reduction would overflow int64.
 """
 
 import math
@@ -13,10 +14,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spgcd.field import (
+    LANE_FP_NUMPY,
     LANE_FPK_KERNEL,
     LANE_GENERIC,
+    NP_MAX_P,
     ExtField,
     ExtKernel,
+    PrimeField,
+    PrimeKernel,
     elements as field_elements,
     find_irreducible,
     is_probable_prime,
@@ -28,9 +33,8 @@ from spgcd.unipoly import _generic_monic_gcd, monic_gcd, poly_divmod, poly_mul, 
 DEGREES = (1, 2, 4)
 
 
-def kernel_bound_primes(k):
-    """(largest prime inside the kernel bound, smallest prime past it)."""
-    edge = math.isqrt(((1 << 62) - 1) // k) + 1  # largest p with (p - 1)^2 k < 2^62
+def primes_around(edge):
+    """(largest prime <= edge, smallest prime > edge)."""
     inside = edge
     while not is_probable_prime(inside):
         inside -= 1
@@ -40,15 +44,26 @@ def kernel_bound_primes(k):
     return inside, past
 
 
+def kernel_bound_primes(k):
+    """(largest prime inside the F_{p^k} kernel bound, smallest prime past it)."""
+    return primes_around(math.isqrt(((1 << 62) - 1) // k) + 1)  # largest p with (p - 1)^2 k < 2^62
+
+
+FP_EDGE = primes_around(NP_MAX_P - 1)  # F_p kernel: p < 2^30
+
+
 def ext_field(p, k):
     return ExtField(p, find_irreducible(p, k, random.Random(p + k)))
 
 
-FIELDS = [ext_field(p, k) for k in DEGREES for p in (2, 3, 1000003, kernel_bound_primes(k)[0])]
+FIELDS = [PrimeField(p) for p in (2, 3, 1000003, FP_EDGE[0])] + [
+    ext_field(p, k) for k in DEGREES for p in (2, 3, 1000003, kernel_bound_primes(k)[0])
+]
 
 
 def elements(field):
-    return st.tuples(*[st.integers(0, field.p - 1)] * field.k)
+    residues = st.integers(0, field.p - 1)
+    return residues if isinstance(field, PrimeField) else st.tuples(*[residues] * field.k)
 
 
 def polys(field, max_len):
@@ -69,6 +84,11 @@ PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
 
 def test_lane_follows_the_bound():
+    inside, past = FP_EDGE
+    assert PrimeKernel.fits(inside) and not PrimeKernel.fits(past)
+    assert lane(PrimeField(inside)) == LANE_FP_NUMPY
+    beyond = PrimeField(past)
+    assert beyond.kernel is None and lane(beyond) == LANE_GENERIC
     for k in DEGREES:
         inside, past = kernel_bound_primes(k)
         assert ExtKernel.fits(inside, k) and not ExtKernel.fits(past, k)
@@ -129,19 +149,19 @@ def test_poly_powmod(data):
 def test_huge_exponents_evaluate_in_little_memory():
     # x1^(10^6) x2 + 5 x2^(10^6): a power table would hold 10^6 rows; square-
     # and-multiply over the exponent bits needs a few small arrays
-    field = ext_field(1000003, 4)
     big = 10**6
-    f = SparsePoly.from_terms(field, 2, [(1, (big, 1)), (5, (0, big))])
-    rng = random.Random(1)
-    alpha = (field.rand_unit(rng), field.rand_unit(rng))
-    tracemalloc.start()
-    try:
-        got = eval_at_powers(field, f, alpha, 2)
-        col = field_elements(field, field.kernel.pow(alpha[0], [big, 3]))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    naive = [f.evaluate(field, tuple(field.pow_(a, i) for a in alpha)) for i in (1, 2)]
-    assert got == naive
-    assert col == [field.pow_(alpha[0], big), field.pow_(alpha[0], 3)]
-    assert peak < 4 << 20
+    for field in (PrimeField(1000003), ext_field(1000003, 4)):
+        f = SparsePoly.from_terms(field, 2, [(1, (big, 1)), (5, (0, big))])
+        rng = random.Random(1)
+        alpha = (field.rand_unit(rng), field.rand_unit(rng))
+        tracemalloc.start()
+        try:
+            got = eval_at_powers(field, f, alpha, 2)
+            col = field_elements(field, field.kernel.pow(alpha[0], [big, 3]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        naive = [f.evaluate(field, tuple(field.pow_(a, i) for a in alpha)) for i in (1, 2)]
+        assert got == naive
+        assert col == [field.pow_(alpha[0], big), field.pow_(alpha[0], 3)]
+        assert peak < 4 << 20

@@ -100,6 +100,30 @@ class TestIrreducible:
                         acc = (acc * a + c) % p
                     assert acc != 0
 
+    @staticmethod
+    def _mobius(n):
+        mu = 1
+        for mult in factorize(n).values():
+            if mult > 1:
+                return 0
+            mu = -mu
+        return mu
+
+    @pytest.mark.parametrize(
+        "p, ks", [(2, range(2, 9)), (3, range(2, 7)), (5, range(2, 5)), (7, range(2, 5))]
+    )
+    def test_counts_match_gauss_formula(self, p, ks):
+        """An exhaustive scan over every monic f of degree k over F_p finds
+        as many irreducibles as Gauss's formula (1/k) sum_{d | k} mu(d)
+        p^(k/d) counts."""
+        for k in ks:
+            want = sum(self._mobius(d) * p ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
+            found = 0
+            for idx in range(p**k):
+                low = tuple(idx // p**i % p for i in range(k))
+                found += is_irreducible(low + (1,), p)
+            assert found == want, (p, k)
+
 
 class TestPrimitiveRoot:
     def test_f7(self):

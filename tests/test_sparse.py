@@ -213,10 +213,13 @@ def ext(p, k):
     return ExtField(p, find_irreducible(p, k, random.Random(k)))
 
 
-# (field, lane): one field per lane; F_{(2^31-1)^2} is past the kernel's
+# (field, lane): the F_p kernel at p = 3, at the standard prime and at the
+# largest prime below its bound 2^30; F_{(2^31-1)^2} is past the F_{p^k} kernel's
 # int64 bound (p - 1)^2 k < 2^62
 EVALUATOR_FIELDS = [
     (FP, LANE_FP_NUMPY),
+    (PrimeField(3), LANE_FP_NUMPY),
+    (PrimeField(2**30 - 35), LANE_FP_NUMPY),
     (ext(1000003, 2), LANE_FPK_KERNEL),
     (ext(1000003, 3), LANE_FPK_KERNEL),
     (ext(1000003, 4), LANE_FPK_KERNEL),

@@ -133,6 +133,19 @@ class TestFindRoots:
     def test_linear(self):
         assert find_roots(F7, [1, 1], random.Random(0)) == [6]
 
+    def test_linear_skips_the_split_check(self, monkeypatch):
+        # a monic linear f has its root in the field: no x^q - x is needed
+        import spgcd.unipoly as unipoly_mod
+
+        def boom(*args, **kwargs):
+            raise AssertionError("poly_powmod called for a linear polynomial")
+
+        monkeypatch.setattr(unipoly_mod, "poly_powmod", boom)
+        assert find_roots(F101, [37, 1], random.Random(0)) == [101 - 37]
+        E = ExtField(5, (2, 0, 1))
+        c = (3, 4)
+        assert find_roots(E, [c, E.one], random.Random(0)) == [E.neg(c)]
+
     def test_quadratic(self):
         roots = find_roots(F7, [6, 2, 1], random.Random(0))
         assert sorted(roots) == [2, 3]
