@@ -5,6 +5,11 @@
     spgcd bench --suite degree --csv out.csv
     spgcd verify G.poly A.poly B.poly    exit 3 when verification fails
 
+verify checks that G divides A and B exactly, then that G's univariate image
+matches the GCD of A's and B's at random points (engine.check_gcd_image),
+which no proper divisor passes, and compares with the dense oracle when the
+instance fits its budget.
+
 --seed falls back to the SPGCD_SEED environment variable.  --omega pins the
 shift element (and keeps all arithmetic in the base field); it defaults to 6
 for the standard prime 10000019 and to automatic discovery otherwise.
@@ -18,7 +23,7 @@ import random
 import sys
 
 from . import bench, polyfile
-from .engine import GcdConfig, gcd
+from .engine import GcdConfig, check_gcd_image, gcd
 from .errors import BudgetExceeded, GcdFailure, InvalidInput, SpgcdError
 from .field import PrimeField
 from .instances import gen_triple
@@ -147,6 +152,7 @@ def cmd_verify(args) -> int:
         field_g, G = polyfile.read(args.file_g)
         field_a, A = polyfile.read(args.file_a)
         field_b, B = polyfile.read(args.file_b)
+        rng = random.Random(_resolve_seed(None))
     except (InvalidInput, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -161,6 +167,12 @@ def cmd_verify(args) -> int:
         print("check: divisibility FAILED")
         return EXIT_VERIFY_FAILURE
     print("check: divisibility ok")
+    ok, images, E, bound = check_gcd_image(field, A, B, G, GcdConfig.epsilon, rng)
+    where = f"F_{E.p}" + (f"^{E.k}" if E.k > 1 else "")
+    if not ok:
+        print(f"check: gcd image FAILED (images: {images} over {where}, error bound {bound:.1e})")
+        return EXIT_VERIFY_FAILURE
+    print(f"check: gcd image ok (image {images} over {where}, error bound {bound:.1e})")
     try:
         want = dense_gcd(field, A, B)
     except BudgetExceeded:

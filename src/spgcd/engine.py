@@ -10,7 +10,8 @@ Stage III  size the working field and pick the shift element omega and the
 Stage IV   evaluate the whole (n+1) x 2T grid as two arrays of image rows
            and take their monic univariate GCDs as one batch, scaled so
            every image is an exact evaluation of the target layers;
-Stage V    sparse-interpolate each layer on nodes shared by all grid rows;
+Stage V    sparse-interpolate all layers as one batch, each on nodes shared
+           by all its grid rows;
 Stage VI   sum the layers, strip the monomial content, normalize lex-monic.
 
 The grid.  Row 0 takes images at alpha^i, row k + 1 at alpha^i with
@@ -64,9 +65,10 @@ from .field import (
     find_primitive_root,
     lane,
     multiplicative_order_exceeds,
+    nonzero,
     prod,
 )
-from .interp import EvalGrid, interpolate
+from .interp import LayerGrids, interpolate
 from .sparse import (
     PowerImageEvaluator,
     SparsePoly,
@@ -82,7 +84,7 @@ from .sparse import (
 )
 # Not called here; perfbench/run.py wraps engine.diversify and engine.undiversify by name.
 from .sparse import diversify, undiversify  # noqa: F401
-from .unipoly import monic_gcd
+from .unipoly import monic, monic_gcd, trim
 
 
 @dataclass
@@ -123,10 +125,12 @@ class TermBounds:
 @dataclass
 class StageTrace:
     """Observability record for one primitive_gcd call.  ``lanes`` maps
-    stages "II" and "IV" to the arithmetic lane (``field.lane``) of the
-    field their images and univariate GCDs ran in.  ``lockstep_rows`` and
-    ``fallback_rows`` count Stage IV grid rows, summed over attempts, whose
-    GCD finished in the batch's shared pass or was taken alone."""
+    stages "II", "IV" and "V" to the arithmetic lane (``field.lane``) of the
+    field their images, univariate GCDs and interpolation ran in.
+    ``lockstep_rows`` and ``fallback_rows`` count Stage IV grid rows, summed
+    over attempts, whose GCD finished in the batch's shared pass or was
+    taken alone.  ``split_rounds`` holds, per attempt that reached Stage V,
+    the number of batched root-finding split rounds it ran."""
 
     s: tuple | None = None
     isolated_from: str | None = None
@@ -142,6 +146,7 @@ class StageTrace:
     retries: int = 0
     lockstep_rows: int = 0
     fallback_rows: int = 0
+    split_rounds: list = dataclass_field(default_factory=list)
     lanes: dict = dataclass_field(default_factory=dict)
     timings: dict = dataclass_field(default_factory=dict)
     failures: list = dataclass_field(default_factory=list)
@@ -226,14 +231,8 @@ def hankel_first_singular(field: Field, values, T: int):
 # ---------------------------------------------------------------------------
 
 
-def _nonzero(field, a) -> np.ndarray:
-    """Mask of the nonzero elements of an int64 array of field elements
-    (over F_{p^k} the last axis holds one element's coefficients)."""
-    return (a != 0).any(axis=-1) if isinstance(field, ExtField) else a != 0
-
-
 def _degrees(support) -> np.ndarray:
-    """Degree of each row of nonzero polynomials, given their _nonzero mask."""
+    """Degree of each row of nonzero polynomials, given their nonzero mask."""
     return support.shape[1] - 1 - np.argmax(support[:, ::-1], axis=1)
 
 
@@ -270,11 +269,11 @@ class _ImageStream:
             return
         U = np.array([self.ev1.next_image() for _ in range(new)], dtype=np.int64)
         V = np.array([self.ev2.next_image() for _ in range(new)], dtype=np.int64)
-        lc_ok = _nonzero(field, U[:, self.top1]) & _nonzero(field, V[:, self.top2])
+        lc_ok = nonzero(field, U[:, self.top1]) & nonzero(field, V[:, self.top2])
         good = new if lc_ok.all() else int(np.argmin(lc_ok))  # the images before the first bad one
         if good:
             G, _ = monic_gcd(field, U[:good], V[:good])
-            degrees = _degrees(_nonzero(field, G))
+            degrees = _degrees(nonzero(field, G))
             if self.gcd_degree is None:
                 self.gcd_degree = int(degrees[0])
             if np.any(degrees != self.gcd_degree):
@@ -289,7 +288,7 @@ class _ImageStream:
 
     def support(self) -> set:
         """The y-degrees with a nonzero coefficient in some image."""
-        return set(np.flatnonzero(_nonzero(self.field, np.array(self.images)).any(axis=0)).tolist())
+        return set(np.flatnonzero(nonzero(self.field, np.array(self.images)).any(axis=0)).tolist())
 
     def values_at(self, e: int):
         return elements(self.field, np.array([img[e] for img in self.images]))
@@ -405,12 +404,12 @@ def _run_primitive(field: PrimeField, A, B, cfg: GcdConfig, rng, trace: StageTra
     U = PowerImageEvaluator(E3, homo1, alpha).grid(count, omega)
     V = PowerImageEvaluator(E3, homo2, alpha).grid(count, omega)
     trace.lanes["IV"] = lane(E3)
-    if not (_nonzero(E3, U[:, homo1.max_ydeg]).all() and _nonzero(E3, V[:, homo2.max_ydeg]).all()):
+    if not (nonzero(E3, U[:, homo1.max_ydeg]).all() and nonzero(E3, V[:, homo2.max_ydeg]).all()):
         raise _StageFailure("IV", "leading coefficient vanished")
     G, lockstep = monic_gcd(E3, U, V)
     trace.lockstep_rows += lockstep
     trace.fallback_rows += len(G) - lockstep
-    support = _nonzero(E3, G)
+    support = nonzero(E3, G)
     degrees = _degrees(support)
     if np.any(degrees != degrees[0]):
         raise _StageFailure("IV", "image degree disagreement")
@@ -426,26 +425,20 @@ def _run_primitive(field: PrimeField, A, B, cfg: GcdConfig, rng, trace: StageTra
         scales.append(E3.mul(scales[-1], step))
     omega_d = E3.pow_(omega, d)
     scales += [E3.mul(omega_d, s) for s in scales] * n
-    values = elements(E3, _scale_rows(E3, G[:, list(layer_ydegs)], scales))
+    values = _scale_rows(E3, G[:, list(layer_ydegs)], scales)
+    # (grid row, point, layer) -> (layer, grid row, point)
+    values = np.moveaxis(values.reshape((n + 1, count) + values.shape[1:]), 2, 0)
     trace.timings["IV"] = trace.timings.get("IV", 0.0) + time.perf_counter() - t0
 
-    # Stage V: per-layer interpolation
+    # Stage V: all layers as one interpolation batch
     t0 = time.perf_counter()
-    layers = []
-    for l, (e, T_e) in enumerate(zip(layer_ydegs, bounds)):
-        grid = EvalGrid(
-            alpha=alpha,
-            omega=omega,
-            T=T_e,
-            base_row=tuple(values[i][l] for i in range(2 * T_e)),
-            shifted_rows=tuple(
-                tuple(values[(k + 1) * count + i][l] for i in range(2 * T_e)) for k in range(n)
-            ),
-        )
-        try:
-            layers.append(interpolate(E3, grid, 2 * d, rng))
-        except InterpolationError as exc:
-            raise _StageFailure("V", f"layer y^{e}: {exc}") from exc
+    trace.lanes["V"] = lane(E3)
+    try:
+        layers, rounds = interpolate(E3, LayerGrids(alpha, omega, bounds, values), 2 * d, rng)
+    except InterpolationError as exc:
+        trace.split_rounds.append(exc.rounds)
+        raise _StageFailure("V", f"layer y^{layer_ydegs[exc.layer]}: {exc}") from exc
+    trace.split_rounds.append(rounds)
     layers.append(SparsePoly(n, (E3.one,), ((d,) * n,)))
     trace.timings["V"] = trace.timings.get("V", 0.0) + time.perf_counter() - t0
 
@@ -513,3 +506,51 @@ def gcd(field: PrimeField, A: SparsePoly, B: SparsePoly, cfg: GcdConfig | None =
     cont_gcd = monomial_gcd(monomial_content(A), monomial_content(B))
     prim_gcd, trace = primitive_gcd(field, monomial_primitive(A), monomial_primitive(B), cfg)
     return shift_exponents(prim_gcd, cont_gcd), trace
+
+
+def check_gcd_image(field: PrimeField, A: SparsePoly, B: SparsePoly, G: SparsePoly, epsilon: float, rng):
+    """Monte-Carlo check that G, which must divide A and B, is their GCD.
+    Returns (ok, images, E, bound): the verdict, the images taken, the field
+    they were taken in and the bound b^r below.
+
+    G must carry the monomial content of gcd(A, B).  For the rest, Stage
+    I's isolating s gives A or B a single term of top weighted degree, so
+    every factor of it with two or more terms keeps a positive y-degree
+    under homogenization and a monomial as its top y-coefficient, which no
+    point beta with nonzero coordinates annuls.  So when G is a proper
+    divisor of the GCD, monic_gcd(A(y, beta), B(y, beta)) has a higher
+    degree than G(y, beta) at every such beta: a proper divisor fails every
+    image.  The GCD itself fails an image only when beta is a root of one
+    leading coefficient or of the resultant of the cofactors, of degree at
+    most (2 Y + 1) D in all (Y the largest y-degree, D the largest total
+    degree), so with probability at most b = (2 Y + 1) D / (q - 1) over the
+    q - 1 units of the field.  Images are taken over F_p when b < 1 there,
+    else over the smallest extension with b <= epsilon, as Stage III sizes
+    its field.  The check passes at the first image that matches and fails
+    after r images, r the least with b^r <= epsilon: the bound on a true
+    GCD failing.
+    """
+    if monomial_content(G) != monomial_gcd(monomial_content(A), monomial_content(B)):
+        return False, 0, field, 0.0
+    A, B, G = (monomial_primitive(f) for f in (A, B, G))
+    if A.total_degree() == 0 or B.total_degree() == 0:
+        return G.total_degree() == 0, 0, field, 0.0
+    s, _ = choose_isolating_vector(A, B, rng)
+    homos = [homogenize(f, s) for f in (A, B, G)]
+    rate = (2 * max(h.max_ydeg for h in homos[:2]) + 1) * max(A.total_degree(), B.total_degree())
+    k = 1
+    if rate >= field.p - 1:
+        k = 2
+        while rate > epsilon * (field.p**k - 1):
+            k += 1
+    E = field if k == 1 else ExtField(field.p, find_irreducible(field.p, k, rng))
+    b = rate / (E.order - 1)
+    r = max(1, math.ceil(math.log(epsilon) / math.log(b)))
+    for i in range(1, r + 1):
+        beta = tuple(E.rand_unit(rng) for _ in range(A.nvars))
+        U, V, W = (PowerImageEvaluator(E, h, beta).next_image() for h in homos)
+        got = monic_gcd(E, U, V)
+        got, W = (elements(E, x) if isinstance(x, np.ndarray) else x for x in (got, W))
+        if trim(list(got)) == monic(E, W):
+            return True, i, E, b**r
+    return False, r, E, b**r

@@ -11,6 +11,9 @@ and None for every other field, which keeps python scalars and k-tuples (the
 generic lane).  Both kernels share one interface, so a layer runs "kernel or
 generic".  ``lane`` names a field's kernel, for traces and for the code that
 keeps one routine per kernel (unipoly's Euclids, the engine's Hankel test).
+Code written only for arrays takes ``array_kernel``: the field's kernel, or
+on the generic lane a wide kernel of the same interface whose products run
+on python ints (every residue is below 2^62, so arrays stay int64).
 """
 
 from __future__ import annotations
@@ -336,9 +339,11 @@ class _Kernel:
     """Vector arithmetic on int64 arrays of reduced residues whose trailing
     axes, of shape ``shape``, hold one element each.  A subclass gives the
     F_p-linear map of multiplication by an element (``matrices``) and its
-    application (``apply``); powers are written once, here."""
+    application (``apply``) and inverses (``inv``); powers and sums are
+    written once, here.  A wide kernel (``work`` object) forms products and
+    sums on python ints and stores the reduced results as int64."""
 
-    __slots__ = ("p", "shape", "unit", "lane")
+    __slots__ = ("p", "shape", "unit", "lane", "work")
 
     def array(self, elts) -> np.ndarray:
         """(len(elts), *shape) array of a sequence of elements."""
@@ -374,6 +379,12 @@ class _Kernel:
             e >>= 1
         return out
 
+    def sum(self, x, axis: int) -> np.ndarray:
+        """Sum of the elements along axis (an axis before the element axes)."""
+        if self.work is object:
+            return np.asarray(x.astype(object).sum(axis=axis) % self.p, dtype=np.int64)
+        return x.sum(axis=axis) % self.p
+
     def powers(self, x, e: int) -> np.ndarray:
         """(e + 1, ..., *shape) table of x^0, ..., x^e for the elements x,
         filled by doubling."""
@@ -393,9 +404,9 @@ class _Kernel:
 
 class PrimeKernel(_Kernel):
     """Vector arithmetic over F_p on int64 arrays of residues (element shape
-    ()): multiplication by a is the scalar a.  It exists while p < NP_MAX_P
-    (``fits``), the bound unipoly's inverse-free Euclid needs (2 p^2 <
-    2^61); larger primes keep the generic lane."""
+    ()): multiplication by a is the residue a itself.  It is the field's kernel
+    while p < NP_MAX_P (``fits``), the bound unipoly's inverse-free Euclid
+    needs (2 p^2 < 2^61); larger primes keep the generic lane."""
 
     __slots__ = ()
 
@@ -403,15 +414,27 @@ class PrimeKernel(_Kernel):
     def fits(p: int) -> bool:
         return p < NP_MAX_P
 
-    def __init__(self, p: int):
+    def __init__(self, p: int, wide: bool = False):
         self.p, self.shape, self.unit = p, (), 1
         self.lane = LANE_FP_NUMPY
+        self.work = object if wide else np.int64
 
     def matrices(self, a) -> np.ndarray:
-        return np.asarray(a, dtype=np.int64) % self.p
+        return np.asarray(a, dtype=np.int64)
 
     def apply(self, m: np.ndarray, b) -> np.ndarray:
-        return m * np.asarray(b) % self.p
+        if self.work is object:
+            return np.asarray(m.astype(object) * np.asarray(b).astype(object) % self.p, dtype=np.int64)
+        x = m * np.asarray(b)
+        return x - x // self.p * self.p  # numpy runs this faster than x % p
+
+    def inv(self, x) -> np.ndarray:
+        """Elementwise inverses of residues (zero maps to zero), one modular
+        inverse per element: far fewer steps than x^(p - 2) on the array
+        for the few hundred elements a call inverts."""
+        x = np.asarray(x, dtype=np.int64)
+        out = [pow(v, -1, self.p) if v else 0 for v in x.ravel().tolist()]
+        return np.array(out, dtype=np.int64).reshape(x.shape)
 
 
 class ExtKernel(_Kernel):
@@ -424,13 +447,13 @@ class ExtKernel(_Kernel):
     (p - 1)^2 k < 2^62 (``fits``); larger fields keep the generic lane.
     """
 
-    __slots__ = ("k", "zflat")
+    __slots__ = ("k", "zflat", "modulus", "frobenius")
 
     @staticmethod
     def fits(p: int, k: int) -> bool:
         return (p - 1) ** 2 * k < 1 << 62
 
-    def __init__(self, field: ExtField):
+    def __init__(self, field: ExtField, wide: bool = False):
         p, k = field.p, field.k
         # z^0 .. z^(2k-2) mod Phi, one per row
         zpow = np.zeros((2 * k - 1, k), dtype=np.int64)
@@ -441,16 +464,43 @@ class ExtKernel(_Kernel):
         zstack = zpow[idx[:, None] + idx[None, :]].transpose(0, 2, 1)
         self.p, self.k, self.shape, self.unit = p, k, (k,), zpow[0]
         self.lane = LANE_FPK_KERNEL
-        self.zflat = np.ascontiguousarray(zstack).reshape(k, k * k)
+        self.work = object if wide else np.int64
+        self.zflat = np.ascontiguousarray(zstack).reshape(k, k * k).astype(self.work)
+        self.modulus, self.frobenius = field.modulus, None  # a -> a^p, built by the first conjugate
 
     def matrices(self, a) -> np.ndarray:
         """Multiplication matrices (..., k, k) of the elements a (..., k)."""
         a = np.asarray(a, dtype=np.int64)
-        return (a @ self.zflat).reshape(a.shape[:-1] + (self.k, self.k)) % self.p
+        m = np.asarray((a.astype(self.work, copy=False) @ self.zflat) % self.p, dtype=np.int64)
+        return m.reshape(a.shape[:-1] + (self.k, self.k))
 
     def apply(self, m: np.ndarray, b) -> np.ndarray:
         """Elementwise products of the elements with matrices m and b."""
+        if self.work is object:
+            out = np.matmul(m.astype(object), np.asarray(b).astype(object)[..., None])[..., 0]
+            return np.asarray(out % self.p, dtype=np.int64)
         return np.matmul(m, np.asarray(b)[..., None])[..., 0] % self.p
+
+    def conjugate(self, x) -> np.ndarray:
+        """x^p elementwise, an F_p-linear map of the coefficients."""
+        if self.frobenius is None:  # column i holds z^(i p)
+            ring = ExtField(self.p, self.modulus)
+            zp = ring.pow_(tuple(np.roll(self.unit, 1).tolist()), self.p)
+            self.frobenius = self.powers(self.array([zp])[0], self.k - 1).T.copy()
+        return self.apply(self.frobenius, x)
+
+    def inv(self, x) -> np.ndarray:
+        """Elementwise inverses of nonzero elements through the norm: with r
+        = (q - 1)/(p - 1), x^-1 = x^(r - 1) / x^r, where x^(r - 1) is the
+        product of the conjugates x^(p^i), 0 < i < k, and the norm x^r lies
+        in F_p (zero maps to zero)."""
+        x = np.asarray(x, dtype=np.int64)
+        conj, rest = x, np.zeros_like(x) + self.unit
+        for _ in range(self.k - 1):
+            conj = self.conjugate(conj)
+            rest = self.mul(rest, conj)
+        base = PrimeKernel(self.p, self.work is object)
+        return base.apply(base.inv(self.mul(x, rest)[..., :1]), rest)
 
 
 Field = PrimeField | ExtField
@@ -459,6 +509,19 @@ Field = PrimeField | ExtField
 def lane(field: Field) -> str:
     """The name of the arithmetic lane field's vectors run on."""
     return field.kernel.lane if field.kernel is not None else LANE_GENERIC
+
+
+def array_kernel(field: Field) -> _Kernel:
+    """field.kernel, or on the generic lane a wide kernel for field."""
+    if field.kernel is not None:
+        return field.kernel
+    return PrimeKernel(field.p, wide=True) if isinstance(field, PrimeField) else ExtKernel(field, wide=True)
+
+
+def nonzero(field: Field, a) -> np.ndarray:
+    """Mask of the nonzero elements of an int64 array of field elements
+    (over F_{p^k} the last axis holds one element's coefficients)."""
+    return (a != 0).any(axis=-1) if isinstance(field, ExtField) else a != 0
 
 
 def elements(field: Field, a) -> list:
@@ -554,29 +617,34 @@ def multiplicative_order_exceeds(field: Field, g, bound: int) -> bool:
     return True
 
 
-def discrete_log_bounded(field: Field, omega, target, bound: int) -> int:
+def discrete_log_bounded(field: Field, omega, target, bound: int):
     """Smallest e in [0, bound] with omega^e = target, by baby-step/giant-step.
 
-    Raises NotAPower when no such exponent exists.
+    One target: raises NotAPower when no such exponent exists.  A batch: an
+    int64 array of elements ((N,) over F_p, (N, k) over F_{p^k}) gives an
+    int64 array of N exponents, -1 where none exists; all targets take the
+    giant steps together and are looked up in the baby table at once.
     """
     if bound < 0:
         raise InvalidInput("bound must be >= 0")
-    if target == field.one:
-        return 0
+    kern = array_kernel(field)
+    if not isinstance(target, np.ndarray):
+        e = int(discrete_log_bounded(field, omega, kern.array([target]), bound)[0])
+        if e < 0:
+            raise NotAPower(f"no exponent <= {bound} matches")
+        return e
     m = math.isqrt(bound) + 1
-    baby = {}
-    acc = field.one
-    for j in range(m):
-        baby.setdefault(acc, j)
-        acc = field.mul(acc, omega)
-    # acc is now omega^m
-    giant = field.inv(acc)
+    baby = kern.powers(kern.array([omega])[0], m)  # omega^0 .. omega^m
+    giant = kern.inv(baby[m])
+    table = baby[:m].reshape(1, m, -1)
     gamma = target
+    out = np.full(len(target), -1, dtype=np.int64)
     for i in range(bound // m + 1):
-        j = baby.get(gamma)
-        if j is not None:
-            e = i * m + j
-            if e <= bound:
-                return e
-        gamma = field.mul(gamma, giant)
-    raise NotAPower(f"no exponent <= {bound} matches")
+        if (out >= 0).all():
+            break
+        hit = (gamma.reshape(len(gamma), 1, -1) == table).all(axis=2)
+        e = i * m + hit.argmax(axis=1)
+        found = hit.any(axis=1) & (out < 0) & (e <= bound)
+        out[found] = e[found]
+        gamma = kern.mul(gamma, giant)
+    return out

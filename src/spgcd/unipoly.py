@@ -1,17 +1,21 @@
 """Dense univariate polynomial arithmetic over the active field.
 
 Polynomials are coefficient vectors, low degree first, no trailing zeros.
-Three lanes share one public API, chosen by ``field.lane``:
+monic_gcd runs on three lanes, chosen by ``field.lane``:
 
   * generic lane      -- python lists of field elements, any field;
   * F_p numpy lane    -- int64 vectors for prime fields with p < 2^30 (two
-                         scaled subtractions of residues stay inside int64),
-                         used by monic_gcd;
+                         scaled subtractions of residues stay inside int64);
   * F_{p^k} kernel    -- (len, k) int64 arrays through the field's ExtKernel
-                         when (p - 1)^2 k < 2^62, used by monic_gcd,
-                         poly_mulmod and poly_powmod (so by root finding);
-                         callers pass and get lists of k-tuples, and
-                         monic_gcd also takes and returns arrays.
+                         when (p - 1)^2 k < 2^62; callers pass and get lists
+                         of k-tuples, or arrays.
+
+The other list routines (poly_mul, poly_divmod, poly_mulmod, poly_powmod,
+berlekamp_massey) run on the generic lane.  Root finding and the transposed
+Vandermonde solve take one polynomial or system, or a batch of them as
+int64 arrays, and run on the field's array kernel (``field.array_kernel``),
+so on every lane alike: a batch of root findings shares one _Moduli, which
+keeps one row per polynomial, each its own modulus.
 
 monic_gcd takes one pair or a batch of pairs, one pair of rows of two int64
 arrays per GCD.  The F_p numpy lane has one Euclid for both: a single pair
@@ -47,15 +51,17 @@ from .field import (
     LANE_GENERIC,
     ExtField,
     Field,
+    array_kernel,
     elements,
     lane,
+    nonzero,
 )
 
 _FFT_MAX_P = 1 << 24  # 8-bit digit split keeps FFT rounding below 1/4
 _FFT_MIN_SIZE = 24_000  # MAC count under which np.convolve wins
 _BLOCK_H = 512  # Lehmer window half-size
 _BLOCK_MIN_DEG = 3 * _BLOCK_H  # no block phase below this degree
-_LOCKSTEP_ENTRIES = 1 << 16  # rows x width of one lockstep batch
+_LOCKSTEP_ENTRIES = 1 << 16  # rows x width of one lockstep batch, rows x table of one _Moduli product
 
 
 def degree(f) -> int:
@@ -112,25 +118,25 @@ def poly_divmod(field: Field, a, b):
 
 
 def poly_mulmod(field: Field, a, b, f):
-    if lane(field) == LANE_FPK_KERNEL and len(trim(list(f))) > 1:
-        mod = _ExtModulus(field, f)
-        return trim(elements(field, mod.mulmod(mod.residue(a), mod.residue(b))))
     _, r = poly_divmod(field, poly_mul(field, a, b), f)
     return r
 
 
+def _power(mul, one, base, e: int):
+    """base^e by left-to-right square-and-multiply under the product mul,
+    for base already reduced."""
+    if not e:
+        return one
+    result = base
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, base)
+    return result
+
+
 def poly_powmod(field: Field, a, e: int, f):
-    if lane(field) == LANE_FPK_KERNEL and len(trim(list(f))) > 1:
-        mod = _ExtModulus(field, f)
-        mulmod, result, base = mod.mulmod, mod.residue([field.one]), mod.residue(a)
-    else:
-        mulmod, result, base = partial(poly_mulmod, field, f=f), [field.one], list(a)
-    while e:
-        if e & 1:
-            result = mulmod(result, base)
-        base = mulmod(base, base)
-        e >>= 1
-    return trim(elements(field, result)) if isinstance(result, np.ndarray) else result
+    return _power(partial(poly_mulmod, field, f=f), [field.one], poly_divmod(field, a, f)[1], e)
 
 
 def monic(field: Field, f):
@@ -451,47 +457,6 @@ def _ext_monic_gcd(field: ExtField, u, v):
     return g if isinstance(u, np.ndarray) or isinstance(v, np.ndarray) else elements(field, g)
 
 
-class _ExtModulus:
-    """Residues modulo a polynomial f of degree n >= 1 over F_{p^k} on the
-    kernel, as (n, k) arrays."""
-
-    def __init__(self, field: ExtField, f):
-        kern, p = field.kernel, field.p
-        f = _ext_trim(kern.array(f) % p)
-        n = len(f) - 1
-        # rows[i] = y^(n+i) mod f for i < n - 1, the powers a product reaches
-        rows = np.zeros((max(n - 1, 1), n, field.k), dtype=np.int64)
-        rows[0] = -kern.mul(_ext_inv(field, f[-1]), f[:n]) % p
-        for i in range(1, n - 1):
-            rows[i, 1:] = rows[i - 1, :-1]
-            rows[i] = (rows[i] + kern.mul(rows[i - 1, -1], rows[0])) % p
-        self.kern, self.p, self.n = kern, p, n
-        self.rows = kern.matrices(rows)
-        # toeplitz[m, i] = b[m - i] as a gather from b zero-padded by n - 1
-        self.idx = np.arange(2 * n - 1)[:, None] - np.arange(n)[None, :] + n - 1
-        self.padded = np.zeros((3 * n - 2, field.k), dtype=np.int64)
-
-    def residue(self, a):
-        """a mod f for a list of field elements, by long division."""
-        n = self.n
-        a = self.kern.array(a) % self.p
-        out = np.zeros((max(len(a), n), self.kern.k), dtype=np.int64)
-        out[: len(a)] = a
-        for top in range(len(out) - 1, n - 1, -1):
-            out[top - n : top] += np.matmul(self.rows[0], out[top])
-            out[top - n : top] %= self.p
-        return out[:n]
-
-    def mulmod(self, a, b):
-        n, p = self.n, self.p
-        self.padded[n - 1 : 2 * n - 1] = b
-        toeplitz = self.padded[self.idx]
-        terms = np.matmul(self.kern.matrices(a), toeplitz[..., None])[..., 0] % p
-        c = terms.sum(axis=1) % p
-        high = np.matmul(self.rows[: n - 1], c[n:, None, :, None])[..., 0] % p
-        return (c[:n] + high.sum(axis=0)) % p
-
-
 def _generic_monic_gcd(field: Field, u, v):
     r0, r1 = trim(list(u)), trim(list(v))
     while r1:
@@ -547,6 +512,8 @@ def _monic_gcd_rows(field: Field, U, V):
             chunk = slice(start, start + size)
             rows = start + np.flatnonzero((U[chunk, -1] != 0) & (V[chunk, -1] != 0))
             kept, G = _np_lockstep_gcd(p, U[rows], V[rows])
+            if len(kept) == N:  # one chunk, and every row stayed in lockstep
+                return G, N
             done.update(zip(rows[kept].tolist(), G))
         lockstep = len(done)
     generic = lane(field) == LANE_GENERIC
@@ -606,112 +573,219 @@ def berlekamp_massey(field: Field, seq):
     return lam
 
 
-def _equal_degree_split(field: Field, g, rng: random.Random):
-    """Split a product of distinct linear factors into two proper factors."""
-    q = field.order
-    while True:
-        if q % 2 == 1:
-            delta = field.rand(rng)
-            h = list(poly_powmod(field, [delta, field.one], (q - 1) // 2, g))
-            if not h:
-                h = [field.zero]
-            h[0] = field.sub(h[0], field.one)
-            h = trim(h)
-        else:
-            # char 2: trace map sum of (c x)^(2^i) over i < log2(q)
-            c = field.rand_unit(rng)
-            term = [field.zero, c]
-            acc = list(term)
-            for _ in range(q.bit_length() - 2):
-                term = poly_mulmod(field, term, term, g)
-                n = max(len(acc), len(term))
-                acc = [
-                    field.add(
-                        acc[i] if i < len(acc) else field.zero,
-                        term[i] if i < len(term) else field.zero,
-                    )
-                    for i in range(n)
-                ]
-            acc = trim(acc)
-            h = acc
-        if not h:
-            continue
-        w = monic_gcd(field, h, g)
-        if 0 < len(w) - 1 < len(g) - 1:
-            return w
+class _Moduli:
+    """Residues modulo monic polynomials f_r, one per row, on a field
+    kernel: (rows, n, *shape) int64 arrays, n the largest deg f_r, row r
+    zero from deg f_r on.  A product sums the outer product a_i b_j along
+    its antidiagonals (one gather and one reduceat) and reduces the result
+    through the row's table of y^m mod f_r, m < 2n - 1: O(n^2) work a row
+    and a few array operations a batch, in batches of at most
+    _LOCKSTEP_ENTRIES table entries."""
+
+    def __init__(self, kern, F, degs):
+        """F: (rows, n + 1, *shape) monic polynomials of degrees degs, zero-padded."""
+        rows, n = F.shape[0], F.shape[1] - 1
+        at = np.arange(rows)
+        table = np.zeros((rows, 2 * n - 1) + F.shape[1:], dtype=np.int64)  # y^m mod f_r
+        table[:, 0, 0] = kern.unit
+        for m in range(1, 2 * n - 1):
+            table[:, m, 1:] = table[:, m - 1, :n]  # y^(m-1) mod f_r has degree < deg f_r <= n
+            table[:, m] = (table[:, m] - kern.mul(table[at, m, degs][:, None], F)) % kern.p
+        self.kern, self.n = kern, n
+        self.reduce = kern.matrices(np.ascontiguousarray(np.swapaxes(table[:, :, :n], 1, 2)))
+        diagonal = np.add.outer(np.arange(n), np.arange(n)).ravel()  # i + j of entry i n + j
+        self.order = np.argsort(diagonal, kind="stable")
+        self.starts = np.searchsorted(diagonal[self.order], np.arange(2 * n - 1))
+
+    def rows(self, idx) -> _Moduli:
+        """The moduli of the rows idx (repeats allowed)."""
+        out = object.__new__(_Moduli)
+        out.kern, out.n, out.order, out.starts = self.kern, self.n, self.order, self.starts
+        out.reduce = self.reduce[idx]
+        return out
+
+    def mulmod(self, a, b, rows=None):
+        """a b mod f_r, with r = rows[i] for row i of a and b (default i)."""
+        n = self.n
+        size = max(1, _LOCKSTEP_ENTRIES // (n * (2 * n - 1)))
+        if len(a) <= size:
+            return self._mulmod(a, b, self.reduce if rows is None else self.reduce[rows])
+        rows = np.arange(len(a)) if rows is None else rows
+        return np.concatenate(
+            [self._mulmod(a[i : i + size], b[i : i + size], self.reduce[rows[i : i + size]]) for i in range(0, len(a), size)]
+        )
+
+    def _mulmod(self, a, b, reduce):
+        kern = self.kern
+        ab = kern.mul(a[:, :, None], b[:, None, :]).reshape((len(a), -1) + a.shape[2:])
+        c = np.add.reduceat(ab[:, self.order].astype(kern.work, copy=False), self.starts, axis=1) % kern.p
+        return kern.sum(kern.apply(reduce, np.asarray(c, dtype=np.int64)[:, None]), axis=2)
 
 
 def find_roots(field: Field, f, rng: random.Random):
     """All roots of f in the field; f must be squarefree with every root in
-    the field, else RootDeficit is raised (a bad evaluation point upstream)."""
-    f = monic(field, list(f))
-    if not f:
+    the field, else RootDeficit is raised (a bad evaluation point upstream).
+
+    A batch: f an int64 array of nonzero polynomials, one per row, low
+    degree first and zero-padded: (N, width) over F_p, (N, width, k) over
+    F_{p^k}.  Returns (roots, split, rounds): split[r] tells whether f_r is
+    a product of distinct linear factors, roots (N, width - 1[, k]) then
+    holds its roots in the first deg f_r entries of row r, and rounds counts
+    the split rounds.
+
+    Cantor-Zassenhaus (von zur Gathen & Gerhard, ch. 14) on all rows at
+    once, on the field's array kernel.  A linear row gives its root at once.
+    Each round takes c copies of every pending row f, each with its own
+    delta, and raises w = (y + delta)^((q - 1)/2) mod f for all of them in
+    one batched square-and-multiply (_Moduli).  Over F_{p^k}, (q - 1)/2 =
+    (p - 1)/2 (1 + p + ... + p^(k - 1)), so w is the product of the
+    conjugates u^(p^i) of u = (y + delta)^((p - 1)/2): a conjugate's
+    coefficients raised to the p, with y replaced by y^p mod f, gives the
+    next, which costs one product instead of log p.  At a root r, w is the
+    quadratic character of r + delta: 1, -1 or 0.  So (w^2 + w)/2, (w^2 -
+    w)/2 and 1 - w^2 are idempotents of F[y]/(f) that split its roots three
+    ways; unless some r + delta is 0, w^2 = 1 and the second is 1 minus the
+    first, so a split costs one product (in characteristic 2, w is the
+    trace of delta y, 0 or 1 at a root, and w, 1 - w split them two ways).
+    Their products over the c copies are the idempotents E of the roots'
+    classes of equal signs; a class holds one root r exactly when y E =
+    r E, and a row is done when each of its deg f classes does.  In the
+    first round c is the smallest with 2^c >= 2 d^2, d the largest degree
+    pending, so some pair of a row's roots shares all its signs with
+    probability at most 1/4; a row not done is taken again, whole, in the
+    next round, with one copy more.  The
+    first round is also the split test: f splits into distinct roots iff
+    f | y^q - y, and with b = y + delta (b = delta y in characteristic 2)
+    y^q = y iff b^q = b, where b^q is w^2 b (the last trace term squared).
+    """
+    if not (isinstance(f, np.ndarray) and f.ndim == 2 + isinstance(field, ExtField)):
+        f = trim(list(f))
+        if not f:
+            raise InvalidInput("zero polynomial")
+        roots, split, _ = find_roots(field, array_kernel(field).array(f)[None], rng)
+        if not split[0]:
+            raise RootDeficit(f"the degree-{len(f) - 1} polynomial does not split into distinct roots")
+        return elements(field, roots[0, : len(f) - 1])
+    kern, p, q = array_kernel(field), field.p, field.order
+    F = np.asarray(f, dtype=np.int64) % p
+    N, width, elt = len(F), F.shape[1], F.shape[2:]
+    support = nonzero(field, F)
+    if not support.any(axis=1).all():
         raise InvalidInput("zero polynomial")
-    n = len(f) - 1
-    if n == 0:
-        return []
-    if n == 1:  # a monic linear f always has its root in the field
-        return [field.neg(f[0])]
-    # keep only the part that splits into distinct linear factors
-    xq = poly_powmod(field, [field.zero, field.one], field.order, f)
-    xq = list(xq) + [field.zero] * max(0, 2 - len(xq))
-    xq[1] = field.sub(xq[1], field.one)
-    diff = trim(xq)
-    g = monic_gcd(field, diff, f) if diff else monic(field, f)
-    if len(g) - 1 < n:
-        raise RootDeficit(f"only {len(g) - 1} of {n} roots lie in the field")
-    roots = []
-    stack = [g]
-    while stack:
-        h = stack.pop()
-        d = len(h) - 1
-        if d == 0:
-            continue
-        if d == 1:
-            roots.append(field.neg(h[0]))
-            continue
-        w = _equal_degree_split(field, h, rng)
-        other, rem = poly_divmod(field, h, w)
-        if rem:
-            raise ArithmeticError("split factor does not divide")
-        stack.append(w)
-        stack.append(monic(field, other))
-    if len(roots) != n:
-        raise RootDeficit(f"found {len(roots)} of {n} roots")
-    return roots
+    degs = width - 1 - np.argmax(support[:, ::-1], axis=1)
+    lc = F[np.arange(N), degs]
+    if (lc != kern.unit).any():
+        F = kern.mul(kern.inv(lc)[:, None], F)
+    roots = np.zeros((N, width - 1) + elt, dtype=np.int64)
+    split = np.ones(N, dtype=bool)
+    linear = np.flatnonzero(degs == 1)
+    if len(linear):
+        roots[linear, 0] = -F[linear, 0] % p
+    pending = np.flatnonzero(degs > 1)
+    rounds = 0
+    while len(pending):
+        rounds += 1
+        d = degs[pending]
+        n, c = int(d.max()), int(d.max() ** 2 - 1).bit_length() + rounds
+        mod = _Moduli(kern, F[pending, : n + 1], d)
+        of = np.repeat(np.arange(len(pending)), c)  # the row of each copy
+        copies = mod.rows(of)
+        one = np.zeros((len(pending), n) + elt, dtype=np.int64)
+        one[:, 0] = kern.unit
+        y = np.roll(one, 1, axis=1)
+        base = y[of]
+        if q % 2:
+            base[:, 0] = kern.array([field.rand(rng) for _ in base])
+            w = conj = _power(copies.mulmod, one[of], base, (p - 1) // 2)
+            if field.k > 1:  # (q - 1)/2 = (p - 1)/2 (1 + p + ... + p^(k - 1))
+                Y = [one, _power(mod.mulmod, one, y, p)]  # (y^p)^j mod f
+                while len(Y) < n:
+                    Y.append(mod.mulmod(Y[-1], Y[1]))
+                Y = np.stack(Y, axis=1)[of]
+                for _ in range(field.k - 1):  # conj <- conj^p
+                    conj = kern.sum(kern.mul(kern.conjugate(conj)[:, :, None], Y), axis=1)
+                    w = copies.mulmod(w, conj)
+            w2 = copies.mulmod(w, w)
+            frob = copies.mulmod(w2, base)
+            half = kern.unit * ((p + 1) // 2) % p
+            plus, minus = kern.mul(half, (w2 + w) % p), kern.mul(half, (w2 - w) % p)
+            zeros = nonzero(field, w2 - one[of]).any(axis=1)  # copies with a character 0, w^2 != 1
+        else:
+            base[:, 1] = kern.array([field.rand_unit(rng) for _ in base])
+            w = term = base
+            for _ in range(q.bit_length() - 2):
+                term = copies.mulmod(term, term)
+                w = (w + term) % p
+            frob = copies.mulmod(term, term)
+            plus, minus, zeros = w, None, np.zeros(len(base), dtype=bool)
+        if rounds == 1:
+            ok = ~nonzero(field, frob - base).any(axis=1).reshape(len(pending), c).all(axis=1)
+            split[pending[~ok]] = False
+        # class idempotents: split every class by each copy in turn, into
+        # E plus, E minus and E (1 - w^2), which is zero unless w^2 != 1
+        E, owner = one, np.arange(len(pending))
+        for j in range(c):
+            at = owner * c + j
+            cut = mod.mulmod(E, plus[at], owner)
+            other = (E - cut) % p
+            extra = np.flatnonzero(zeros[at])
+            if len(extra):
+                other[extra] = mod.mulmod(E[extra], minus[at[extra]], owner[extra])
+            E = np.concatenate([cut, other, (E - cut - other) % p])
+            owner = np.tile(owner, 3)
+            live = nonzero(field, E).any(axis=1)
+            E, owner = E[live], owner[live]
+        yE = mod.mulmod(E, y[owner], owner)
+        first = np.arange(len(E)), np.argmax(nonzero(field, E), axis=1)
+        r = kern.mul(yE[first], kern.inv(E[first]))
+        single = ~nonzero(field, yE - kern.mul(r[:, None], E)).any(axis=1)
+        done = ok if rounds == 1 else np.ones(len(pending), dtype=bool)
+        done &= np.bincount(owner, minlength=len(pending)) == d
+        done &= np.bincount(owner, weights=~single, minlength=len(pending)) == 0
+        for i in np.flatnonzero(done):
+            roots[pending[i], : d[i]] = r[owner == i]
+        pending = pending[~done & split[pending]]
+    roots[~split] = 0
+    return roots, split, rounds
 
 
 def solve_transposed_vandermonde(field: Field, nodes, values):
-    """Solve sum_j c_j m_j^i = v_i for i = 1..t; nodes distinct and nonzero."""
-    t = len(nodes)
-    if len(values) < t:
-        raise InvalidInput("need at least t values")
-    if t == 0:
-        return []
-    if len(set(nodes)) != t or any(not _nonzero(m) for m in nodes):
-        raise SingularSystem("nodes must be distinct and nonzero")
-    # master polynomial prod (z - m_j)
-    P = [field.one]
-    for m in nodes:
-        nxt = [field.zero] * (len(P) + 1)
-        for i, c in enumerate(P):
-            nxt[i + 1] = field.add(nxt[i + 1], c)
-            nxt[i] = field.sub(nxt[i], field.mul(c, m))
-        P = nxt
-    out = []
-    for m in nodes:
-        # Q = P / (z - m) by synthetic division; then c~ = Q(v) / Q(m)
-        Q = [field.zero] * t
-        acc = P[t]
-        for i in range(t - 1, -1, -1):
-            Q[i] = acc
-            acc = field.add(P[i], field.mul(acc, m))
-        denom = poly_eval(field, Q, m)
-        if not _nonzero(denom):
-            raise SingularSystem("repeated node")
-        num = field.zero
-        for i in range(t):
-            num = field.add(num, field.mul(Q[i], values[i]))
-        c_scaled = field.mul(num, field.inv(denom))
-        out.append(field.mul(c_scaled, field.inv(m)))
-    return out
+    """Solve sum_j c_j m_j^i = v_i for i = 1..t; nodes distinct and nonzero.
+
+    A batch: nodes an int64 array (L, t[, k]) of L node sets, each set's
+    nodes first and zeros after them, and values (L, R, t[, k]), R
+    right-hand sides per set.  The R systems of a set share its master
+    polynomial P = prod (z - m_j) and the quotients Q_j = P / (z - m_j)
+    (Kaltofen & Yagati, ISSAC 1988): c_j = sum_i Q_ji v_(i+1) / (m_j
+    Q_j(m_j)).  Returns the coefficients (L, R, t[, k]), zero at the
+    padding; a repeated node gets zero coefficients.
+    """
+    if not isinstance(nodes, np.ndarray):
+        t = len(nodes)
+        if len(values) < t:
+            raise InvalidInput("need at least t values")
+        if t == 0:
+            return []
+        if len(set(nodes)) != t or any(not _nonzero(m) for m in nodes):
+            raise SingularSystem("nodes must be distinct and nonzero")
+        kern = array_kernel(field)
+        C = solve_transposed_vandermonde(field, kern.array(nodes)[None], kern.array(values[:t])[None, None])
+        return elements(field, C[0, 0])
+    kern, p = array_kernel(field), field.p
+    L, t, elt = nodes.shape[0], nodes.shape[1], nodes.shape[2:]
+    lift = (1,) * len(elt)
+    real = nonzero(field, nodes)
+    P = np.zeros((L, t + 1) + elt, dtype=np.int64)
+    P[:, 0] = kern.unit
+    for j in range(t):
+        grown = (np.roll(P, 1, axis=1) - kern.mul(nodes[:, j, None], P)) % p
+        P = np.where(real[:, j].reshape((L, 1) + lift), grown, P)
+    Q = np.empty((L, t, t) + elt, dtype=np.int64)  # Q[l, j, i]: coefficient i of Q_j
+    acc = np.broadcast_to(P[:, t, None], (L, t) + elt)
+    for i in range(t - 1, -1, -1):  # synthetic division by z - m_j
+        Q[:, :, i] = acc
+        acc = (P[:, i, None] + kern.mul(nodes, acc)) % p
+    num = kern.sum(kern.mul(Q[:, None], values[:, :, None, :t]), axis=3)
+    powers = np.moveaxis(kern.powers(nodes, t)[1:], 0, 2)  # m_j^(i+1)
+    den = kern.sum(kern.mul(Q, powers), axis=2)
+    return kern.mul(num, kern.inv(den)[:, None]) * real.reshape((L, 1, t) + lift)

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
 from spgcd import polyfile
 from spgcd.bench import CSV_HEADER, run_suite, write_csv
 from spgcd.cli import main
-from spgcd.oracle import divides_exactly
+from spgcd.instances import random_poly
+from spgcd.oracle import divides_exactly, sparse_mul
+from spgcd.sparse import SparsePoly, lex_monic, monomial_primitive
 
 
 def run(argv):
@@ -134,6 +138,48 @@ class TestVerifyCommand:
         b.write_text("p 7\nn 5\n1 1 1 0 0 0\n")
         assert run(["verify", str(g), str(a), str(b)]) == 0
         assert "oracle skipped" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize("n, terms, deg", [(6, 30, 30), (25, 30, 50)])
+    def test_image_check_rejects_proper_divisors(self, tmp_path, monkeypatch, capsys, n, terms, deg):
+        # beyond the oracle's budget the constant 1 and a planted proper
+        # divisor both divide A and B: only the image check rejects them
+        monkeypatch.setenv("SPGCD_SEED", "3")
+        prefix = tmp_path / "inst"
+        assert run(["gen", "--n", str(n), "--terms", str(terms), "--deg", str(deg), "--seed", "5",
+                    "--out-prefix", str(prefix)]) == 0
+        field, _ = polyfile.read(f"{prefix}_G.poly")
+        one = tmp_path / "one.poly"
+        polyfile.write(str(one), field, SparsePoly.constant(field, n, 1))
+        assert run(["verify", str(one), f"{prefix}_A.poly", f"{prefix}_B.poly"]) == 3
+        assert run(["verify", f"{prefix}_G.poly", f"{prefix}_A.poly", f"{prefix}_B.poly"]) == 0
+        rng = random.Random(5)
+        G1, G2 = (lex_monic(field, monomial_primitive(random_poly(field, rng, n, 3, deg // 3))) for _ in "12")
+        G = sparse_mul(field, G1, G2)
+        paths = {}
+        for tag, f in (("A", G), ("B", G), ("G", G), ("G1", G1)):
+            if tag in "AB":
+                f = sparse_mul(field, monomial_primitive(random_poly(field, rng, n, terms, deg)), G)
+            paths[tag] = str(tmp_path / f"{tag}.poly")
+            polyfile.write(paths[tag], field, f)
+        assert run(["verify", paths["G1"], paths["A"], paths["B"]]) == 3
+        assert run(["verify", paths["G"], paths["A"], paths["B"]]) == 0
+        out = capsys.readouterr().out
+        assert out.count("check: gcd image FAILED") == 2 and out.count("check: gcd image ok") == 2
+        assert "oracle skipped" in out and "error bound" in out
+
+    def test_image_check_over_an_extension(self, tmp_path, monkeypatch, capsys):
+        # at p = 101 one image over F_p cannot bound the error: the images
+        # are taken over an extension
+        monkeypatch.setenv("SPGCD_SEED", "4")
+        prefix = tmp_path / "inst"
+        assert run(["gen", "--n", "5", "--terms", "6", "--deg", "8", "--p", "101", "--seed", "2",
+                    "--out-prefix", str(prefix)]) == 0
+        one = tmp_path / "one.poly"
+        one.write_text("p 101\nn 5\n1 0 0 0 0 0\n")
+        assert run(["verify", str(one), f"{prefix}_A.poly", f"{prefix}_B.poly"]) == 3
+        assert run(["verify", f"{prefix}_G.poly", f"{prefix}_A.poly", f"{prefix}_B.poly"]) == 0
+        assert "over F_101^" in capsys.readouterr().out
 
 
 class TestGenCommand:

@@ -266,7 +266,7 @@ class TestTrace:
         _, tr = gcd(FP, A, B, GcdConfig(seed=14, omega=6))
         assert tr.ext2_degree == 1 and tr.ext3_degree == 1
         assert tr.omega == 6
-        assert tr.lanes == {"II": LANE_FP_NUMPY, "IV": LANE_FP_NUMPY}
+        assert tr.lanes == {"II": LANE_FP_NUMPY, "IV": LANE_FP_NUMPY, "V": LANE_FP_NUMPY}
 
     def test_stage_iv_rows_in_lockstep(self):
         # the standard shape: every grid row's GCD runs in the lockstep Euclid
@@ -282,7 +282,7 @@ class TestTrace:
         A, B, G = gen_triple(field, random.Random(2), 3, 6, 6)
         got, tr = gcd(field, A, B, GcdConfig(seed=4, omega=7, term_strategy="linear"))
         assert got == G and tr.retries == 0
-        assert tr.lanes["IV"] == LANE_GENERIC
+        assert tr.lanes["IV"] == tr.lanes["V"] == LANE_GENERIC
         assert tr.lockstep_rows == 0
         assert tr.fallback_rows == (3 + 1) * 2 * tr.term_bounds.global_T
 
@@ -293,7 +293,44 @@ class TestTrace:
         got, tr = gcd(field, A, B, GcdConfig(seed=16, term_strategy="linear"))
         assert got == G
         assert tr.ext2_degree > 1 and tr.ext3_degree > 1
-        assert tr.lanes == {"II": LANE_FPK_KERNEL, "IV": LANE_FPK_KERNEL}
+        assert tr.lanes == {"II": LANE_FPK_KERNEL, "IV": LANE_FPK_KERNEL, "V": LANE_FPK_KERNEL}
+
+
+    def test_stage_v_records_split_rounds(self):
+        A, B, G = gen_triple(FP, random.Random(3), 6, 30, 30)
+        got, tr = gcd(FP, A, B, GcdConfig(seed=5, omega=6, term_strategy="linear"))
+        assert got == G
+        assert tr.lanes["V"] == LANE_FP_NUMPY
+        assert len(tr.split_rounds) == tr.retries + 1
+        assert all(type(r) is int and r >= 0 for r in tr.split_rounds)
+
+    def test_first_failing_layer_names_the_stage_v_failure(self, monkeypatch):
+        # on the first attempt, layer 2 breaks its recurrence and layer 1
+        # gets a shifted row that is no power of omega: layer 1 decides
+        import spgcd.engine as engine_mod
+
+        real, real_bounds, calls, bounds = engine_mod.interpolate, engine_mod.TermBounds, [], []
+
+        def corrupt_once(field, grids, bound, rng):
+            calls.append(len(grids.bounds))
+            if len(calls) == 1:
+                grids.values[2, 1, 2 * grids.bounds[2] - 1] += 1
+                grids.values[1, 1] = grids.values[1, 1] * 1234567 % field.p
+            return real(field, grids, bound, rng)
+
+        def record(*args):  # each attempt's layers
+            bounds.append(real_bounds(*args))
+            return bounds[-1]
+
+        monkeypatch.setattr(engine_mod, "interpolate", corrupt_once)
+        monkeypatch.setattr(engine_mod, "TermBounds", record)
+        A, B, G = gen_triple(FP, random.Random(3), 6, 30, 30)
+        got, tr = gcd(FP, A, B, GcdConfig(seed=5, omega=6, term_strategy="linear"))
+        assert got == G and calls[0] >= 3
+        d = max(max(A.partial_degrees()), max(B.partial_degrees()))
+        e = bounds[0].layer_ydegs[1]
+        assert tr.failures == [f"V: layer y^{e}: no exponent <= {2 * d} matches"]
+        assert len(tr.split_rounds) == 2
 
 
 class TestConfig:

@@ -1,13 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spgcd.errors import InterpolationError, LengthMismatch, NotAPower
-from spgcd.field import ExtField, PrimeField, find_irreducible, find_primitive_root
+from spgcd.errors import InterpolationError, LengthMismatch, NotAPower, RootDeficit
+from spgcd.field import ExtField, PrimeField, find_irreducible, find_primitive_root, multiplicative_order_exceeds
 from spgcd.instances import random_poly
-from spgcd.interp import EvalGrid, interpolate
+from spgcd.interp import EvalGrid, LayerGrids, interpolate
 from spgcd.sparse import SparsePoly, diversify, eval_at_powers
 
 F7 = PrimeField(7)
@@ -157,3 +158,95 @@ class TestProperty:
             assert got == f
         else:
             assert grid_for(field, got, alpha, omega, grid.T) == grid
+
+
+# Fields at the lane thresholds, each with a shift element whose order
+# exceeds its exponent bound: F_2 and F_3 (bounds 0 and 1), the F_p numpy
+# lane up to 2^30 - 35, the generic lane at 2^31 - 1, an F_{p^k} kernel
+# field and an F_{p^k} field past ExtKernel.fits.
+F_WIDE = ExtField(2**31 - 1, find_irreducible(2**31 - 1, 2, random.Random(1)))
+BATCH_FIELDS = [
+    (PrimeField(2), 0),
+    (PrimeField(3), 1),
+    (PrimeField(101), 8),
+    (PrimeField(2**30 - 35), 8),
+    (PrimeField(2**31 - 1), 8),
+    (F343, 8),
+    (F_WIDE, 8),
+]
+
+
+def shift_element(field, bound, rng):
+    while True:
+        omega = field.rand_unit(rng)
+        if multiplicative_order_exceeds(field, omega, bound):
+            return omega
+
+
+def planted_layer(field, rng, alpha, bound, terms):
+    """A polynomial with up to `terms` terms, exponents in [0, bound], whose
+    monomials get distinct nodes at alpha."""
+    n, nodes, out = len(alpha), set(), []
+    for _ in range(8 * terms):
+        e = tuple(rng.randint(0, bound) for _ in range(n))
+        node = eval_at_powers(field, SparsePoly(n, (field.one,), (e,)), alpha, 1)[0]
+        if node not in nodes:
+            nodes.add(node)
+            out.append((field.rand_unit(rng), e))
+        if len(out) == terms:
+            break
+    return SparsePoly.from_terms(field, n, out)
+
+
+def batch_of(field, alpha, omega, grids):
+    """LayerGrids holding the rows of single-layer grids, zero-padded to the
+    widest, as the engine lays them out."""
+    width = 2 * max(g.T for g in grids)
+    values = np.zeros((len(grids), len(alpha) + 1, width) + (() if field.k == 1 else (field.k,)), dtype=np.int64)
+    for l, g in enumerate(grids):
+        values[l, :, : 2 * g.T] = g.batch().values[0]
+    return LayerGrids(alpha, omega, tuple(g.T for g in grids), values)
+
+
+class TestBatch:
+    @pytest.mark.parametrize("field, bound", BATCH_FIELDS, ids=lambda x: repr(x))
+    def test_layers_equal_planted_and_single_grids(self, field, bound):
+        rng = random.Random(field.p + field.k)
+        for _ in range(3):
+            n = rng.randint(1, 3)
+            alpha = tuple(field.rand_unit(rng) for _ in range(n))
+            omega = shift_element(field, bound, rng)
+            # linear and nonlinear recurrences in one batch: 1 to 5 terms
+            fs = [planted_layer(field, rng, alpha, bound, rng.randint(1, 5)) for _ in range(rng.randint(1, 6))]
+            grids = [grid_for(field, f, alpha, omega, f.n_terms + rng.randint(0, 1)) for f in fs]
+            got, rounds = interpolate(field, batch_of(field, alpha, omega, grids), bound, rng)
+            assert got == fs
+            assert rounds >= (max(f.n_terms for f in fs) > 1)
+            assert [interpolate(field, g, bound, rng) for g in grids] == fs
+
+    def test_first_failing_layer_decides(self):
+        rng = random.Random(21)
+        alpha, omega = (17, 23), 6
+        fs = [random_poly(FP, rng, 2, t, 10, distinct_coeffs=True) for t in (3, 1, 2, 4)]
+        grids = [grid_for(FP, f, alpha, omega, f.n_terms) for f in fs]
+        batch = batch_of(FP, alpha, omega, grids)
+        # layer 2 breaks its recurrence in shifted row 1; layer 1's shifted
+        # row 0 is scaled by a non-power of omega
+        batch.values[2, 2, 2 * grids[2].T - 1] += 1
+        batch.values[1, 1] = batch.values[1, 1] * 1234567 % FP.p
+        with pytest.raises(NotAPower) as info:
+            interpolate(FP, batch, 10, rng)
+        assert info.value.layer == 1
+        batch.values[1, 1, : 2 * grids[1].T] = grids[1].batch().values[0, 1]
+        with pytest.raises(LengthMismatch, match="row 1 does not follow") as info:
+            interpolate(FP, batch, 10, rng)
+        assert info.value.layer == 2
+
+    def test_irreducible_quadratic_in_a_batch(self):
+        # layer 1's base row [1, 0, -1, 0] has minimal polynomial z^2 + 1,
+        # irreducible over F_7; layer 0 is a planted x^3
+        ok = grid_for(F7, SparsePoly.from_terms(F7, 1, [(2, (3,))]), (3,), 3, 2)
+        bad = EvalGrid((3,), 3, 2, (1, 0, 6, 0), ((1, 0, 6, 0),))
+        with pytest.raises(RootDeficit) as info:
+            interpolate(F7, batch_of(F7, (3,), 3, [ok, bad]), 5, random.Random(7))
+        assert info.value.layer == 1

@@ -186,6 +186,43 @@ class TestFindRoots:
         assert sorted(find_roots(E, f, rng)) == sorted(roots)
 
 
+    @pytest.mark.parametrize("field", [F7, F101, PrimeField(2**31 - 1), ExtField(5, (2, 0, 1)), ExtField(2, (1, 1, 1))],
+                             ids=repr)
+    def test_batch_rows(self, field):
+        # non-monic rows of degrees 0 to 5 and one with a repeated root; each
+        # row's roots as in a batch of one
+        rng = random.Random(field.order)
+        units = list({field.rand_unit(rng): None for _ in range(40)})
+        polys, want = [], []
+        for d in (1, 3, 0, 2, 5, 4, 2):
+            roots = rng.sample(units, min(d, len(units)))
+            f = [field.rand_unit(rng)]
+            for a in roots:
+                f = poly_mul(field, f, [field.neg(a), field.one])
+            polys.append(f)
+            want.append(sorted(roots))
+        for _ in range(2):  # a square factor in row 3
+            polys[3] = poly_mul(field, polys[3], [field.neg(units[0]), field.one])
+        width = max(len(f) for f in polys)
+        F = np.zeros((len(polys), width) + (() if field.k == 1 else (field.k,)), dtype=np.int64)
+        for i, f in enumerate(polys):
+            F[i, : len(f)] = np.array(f, dtype=np.int64).reshape(F[i, : len(f)].shape)
+        roots, split, rounds = find_roots(field, F, rng)
+        assert split.tolist() == [i != 3 for i in range(len(polys))]
+        assert rounds >= 1
+        for i, f in enumerate(polys):
+            if i != 3:
+                assert sorted(elements_of(field, roots[i, : len(f) - 1])) == want[i]
+                assert sorted(find_roots(field, f, rng)) == want[i]
+        with pytest.raises(RootDeficit):
+            find_roots(field, polys[3], rng)
+
+
+def elements_of(field, a):
+    out = a.tolist()
+    return out if field.k == 1 else [tuple(x) for x in out]
+
+
 class TestTransposedVandermonde:
     def test_single_node(self):
         assert solve_transposed_vandermonde(F7, [6], [5]) == [2]
