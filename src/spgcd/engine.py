@@ -33,12 +33,14 @@ the base row's nodes must be distinct, and no coefficient has to be.
 Batched GCDs.  Stages II and IV hand their image pairs to unipoly.monic_gcd
 as two arrays, one row per point; Stage II the new images of each Hankel
 round (1, 2, 2, ... under "linear", 1, 2, 4, ... under "doubling").  At
-generic points the pairs share one remainder degree sequence, so on the F_p
-numpy lane they run in lockstep; a row that departs is finished alone.  As
-with one GCD per point, only a final GCD degree other than Stage II's aborts
-the attempt, and Stage II checks its images in order, so the first bad one
+generic points the pairs share one remainder degree sequence, so they run
+in lockstep, on every lane (the field's array kernel); a row that departs,
+or whose leading coefficient vanishes, is finished alone.  As with one GCD
+per point, only a final GCD degree other than Stage II's aborts the
+attempt, and Stage II checks its images in order, so the first bad one
 decides the failure.  StageTrace.lockstep_rows and fallback_rows count
-Stage IV's rows of both kinds.
+Stage IV's rows of both kinds.  The Hankel test and the scaling of images
+run on the array kernel too.
 
 Every detectable inconsistency (vanishing leading coefficient, image degree
 drift, interpolation failure) aborts the attempt; the driver retries with
@@ -56,11 +58,10 @@ import numpy as np
 
 from .errors import GcdFailure, InterpolationError, InvalidInput
 from .field import (
-    LANE_FP_NUMPY,
     ExtField,
     Field,
     PrimeField,
-    elements,
+    array_kernel,
     find_irreducible,
     find_primitive_root,
     lane,
@@ -84,7 +85,7 @@ from .sparse import (
 )
 # Not called here; perfbench/run.py wraps engine.diversify and engine.undiversify by name.
 from .sparse import diversify, undiversify  # noqa: F401
-from .unipoly import monic, monic_gcd, trim
+from .unipoly import monic_gcd
 
 
 @dataclass
@@ -129,8 +130,11 @@ class StageTrace:
     field their images, univariate GCDs and interpolation ran in.
     ``lockstep_rows`` and ``fallback_rows`` count Stage IV grid rows, summed
     over attempts, whose GCD finished in the batch's shared pass or was
-    taken alone.  ``split_rounds`` holds, per attempt that reached Stage V,
-    the number of batched root-finding split rounds it ran."""
+    taken alone, after the row departed from the batch's remainder degrees
+    or had a vanishing leading coefficient; on every lane a grid at generic
+    points has only lockstep rows.  ``split_rounds`` holds, per attempt
+    that reached Stage V, the number of batched root-finding split rounds
+    it ran."""
 
     s: tuple | None = None
     isolated_from: str | None = None
@@ -164,56 +168,25 @@ class _StageFailure(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _np_matrix_singular(p: int, M: np.ndarray) -> bool:
-    M = M % p
-    n = len(M)
-    for col in range(n):
-        piv = -1
-        for row in range(col, n):
-            if M[row, col]:
-                piv = row
-                break
-        if piv < 0:
-            return True
-        if piv != col:
-            M[[col, piv]] = M[[piv, col]]
-        inv = pow(int(M[col, col]), p - 2, p)
-        if col + 1 < n:
-            factors = M[col + 1 :, col] * inv % p
-            M[col + 1 :] = (M[col + 1 :] - factors[:, None] * M[col]) % p
-    return False
-
-
-def _generic_matrix_singular(field: Field, M: list) -> bool:
-    n = len(M)
-    M = [row[:] for row in M]
-    for col in range(n):
-        piv = -1
-        for row in range(col, n):
-            if M[row][col] != field.zero:
-                piv = row
-                break
-        if piv < 0:
-            return True
-        M[col], M[piv] = M[piv], M[col]
-        inv = field.inv(M[col][col])
-        for row in range(col + 1, n):
-            f = field.mul(M[row][col], inv)
-            if f != field.zero:
-                M[row] = [field.sub(a, field.mul(f, b)) for a, b in zip(M[row], M[col])]
-    return False
-
-
 def _hankel_singular(field: Field, values, size: int) -> bool:
-    """det HK_size == 0, where HK has entries v_(i+j-1) and values[0] = v_1."""
+    """det HK_size == 0, where HK has entries v_(i+j-1) and values[0] = v_1:
+    inverse-free Gaussian elimination on the field's array kernel."""
     if len(values) < 2 * size - 1:
         raise InvalidInput("need 2*size - 1 values")
-    if lane(field) == LANE_FP_NUMPY:
-        v = np.array(values, dtype=np.int64)
-        idx = np.arange(size)
-        return _np_matrix_singular(field.p, v[idx[:, None] + idx[None, :]])
-    M = [[values[i + j] for j in range(size)] for i in range(size)]
-    return _generic_matrix_singular(field, M)
+    kern = array_kernel(field)
+    idx = np.arange(size)
+    M = (kern.array(values) % field.p)[idx[:, None] + idx[None, :]]
+    for col in range(size):
+        live = np.flatnonzero(nonzero(field, M[col:, col]))
+        if not len(live):
+            return True
+        piv = col + live[0]
+        if piv != col:
+            M[[col, piv]] = M[[piv, col]]
+        if col + 1 < size:  # rows scaled by the nonzero pivot: no inversion
+            below = M[col + 1 :]
+            M[col + 1 :] = (kern.mul(M[col, col], below) - kern.mul(below[:, col, None], M[col])) % field.p
+    return False
 
 
 def hankel_first_singular(field: Field, values, T: int):
@@ -238,11 +211,8 @@ def _degrees(support) -> np.ndarray:
 
 def _scale_rows(field, X, scales) -> np.ndarray:
     """Row i of the int64 array X times scales[i], as an int64 array."""
-    kern = field.kernel
-    if kern is not None:
-        return kern.mul(kern.array(scales)[:, None], X)
-    rows = [[field.mul(c, s) for c in row] for row, s in zip(elements(field, X), scales)]
-    return np.array(rows, dtype=np.int64)
+    kern = array_kernel(field)
+    return kern.mul(kern.array(scales)[:, None], X)
 
 
 class _ImageStream:
@@ -290,8 +260,9 @@ class _ImageStream:
         """The y-degrees with a nonzero coefficient in some image."""
         return set(np.flatnonzero(nonzero(self.field, np.array(self.images)).any(axis=0)).tolist())
 
-    def values_at(self, e: int):
-        return elements(self.field, np.array([img[e] for img in self.images]))
+    def values_at(self, e: int) -> np.ndarray:
+        """The images' coefficients of y^e, as an int64 array."""
+        return np.array([img[e] for img in self.images])
 
 
 def _step1_degree(p: int, D: int, d: int) -> int:
@@ -549,8 +520,6 @@ def check_gcd_image(field: PrimeField, A: SparsePoly, B: SparsePoly, G: SparsePo
     for i in range(1, r + 1):
         beta = tuple(E.rand_unit(rng) for _ in range(A.nvars))
         U, V, W = (PowerImageEvaluator(E, h, beta).next_image() for h in homos)
-        got = monic_gcd(E, U, V)
-        got, W = (elements(E, x) if isinstance(x, np.ndarray) else x for x in (got, W))
-        if trim(list(got)) == monic(E, W):
+        if np.array_equal(monic_gcd(E, U, V), monic_gcd(E, W, W[:0])):  # gcd(W, 0) is W made monic
             return True, i, E, b**r
     return False, r, E, b**r

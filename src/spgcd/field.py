@@ -9,11 +9,12 @@ Every field carries its vector arithmetic as ``field.kernel``: a
 ``ExtKernel`` on (..., k) int64 arrays for F_{p^k} with (p - 1)^2 k < 2^62,
 and None for every other field, which keeps python scalars and k-tuples (the
 generic lane).  Both kernels share one interface, so a layer runs "kernel or
-generic".  ``lane`` names a field's kernel, for traces and for the code that
-keeps one routine per kernel (unipoly's Euclids, the engine's Hankel test).
-Code written only for arrays takes ``array_kernel``: the field's kernel, or
-on the generic lane a wide kernel of the same interface whose products run
-on python ints (every residue is below 2^62, so arrays stay int64).
+generic".  ``lane`` names a field's kernel, for traces.  Code written only
+for arrays takes ``array_kernel``: the field's kernel, or on the generic
+lane a wide kernel of the same interface whose products run on python ints
+(every residue is below 2^62, so arrays stay int64).  unipoly's Euclid, root
+finding and Vandermonde solve, and the engine's Hankel test and image
+scaling, run on it, so each is written once for every field.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .errors import (
 
 MAX_MODULUS = 1 << 62  # products of two residues must fit double-width integers
 NP_MAX_P = 1 << 30  # F_p numpy lane: two scaled subtractions must stay inside int64
+_REM_SPLIT = 800  # entries from which _Kernel.reduce divides rather than takes x % p
 
 LANE_FP_NUMPY = "fp-numpy"
 LANE_FPK_KERNEL = "fpk-kernel"
@@ -338,16 +340,31 @@ class ExtField:
 class _Kernel:
     """Vector arithmetic on int64 arrays of reduced residues whose trailing
     axes, of shape ``shape``, hold one element each.  A subclass gives the
-    F_p-linear map of multiplication by an element (``matrices``) and its
-    application (``apply``) and inverses (``inv``); powers and sums are
-    written once, here.  A wide kernel (``work`` object) forms products and
-    sums on python ints and stores the reduced results as int64."""
+    F_p-linear map of multiplication by an element (``matrices``), its
+    unreduced application (``product``) and inverses (``inv``); reduction,
+    powers and sums are written once, here.  A wide kernel (``work`` object)
+    forms products and sums on python ints and stores the reduced results
+    as int64."""
 
-    __slots__ = ("p", "shape", "unit", "lane", "work")
+    __slots__ = ("p", "p_arr", "shape", "unit", "lane", "work")
 
     def array(self, elts) -> np.ndarray:
         """(len(elts), *shape) array of a sequence of elements."""
         return np.array(elts, dtype=np.int64).reshape((-1,) + self.shape)
+
+    def reduce(self, x: np.ndarray) -> np.ndarray:
+        """x mod p in place, for an int64 array of either sign.  From about
+        _REM_SPLIT entries on, numpy runs x - (x // p) p faster than x % p
+        (p as a 0-d array, which numpy takes faster than an int)."""
+        if x.size < _REM_SPLIT:
+            x %= self.p_arr
+        else:
+            x -= x // self.p_arr * self.p_arr
+        return x
+
+    def apply(self, m: np.ndarray, b) -> np.ndarray:
+        """Elementwise products of the elements with matrices m and b."""
+        return self.reduce(self.product(m, b))
 
     def mul(self, a, b) -> np.ndarray:
         """Elementwise (broadcasting) product."""
@@ -402,11 +419,20 @@ class _Kernel:
         return out
 
 
+def _store(x: np.ndarray, out) -> np.ndarray:
+    """x, copied into out when given."""
+    if out is None:
+        return x
+    out[...] = x
+    return out
+
+
 class PrimeKernel(_Kernel):
     """Vector arithmetic over F_p on int64 arrays of residues (element shape
     ()): multiplication by a is the residue a itself.  It is the field's kernel
-    while p < NP_MAX_P (``fits``), the bound unipoly's inverse-free Euclid
-    needs (2 p^2 < 2^61); larger primes keep the generic lane."""
+    while p < NP_MAX_P (``fits``): an unreduced product is below p^2 < 2^60,
+    so the sums of three that unipoly's inverse-free Euclid forms stay inside
+    int64; larger primes keep the generic lane."""
 
     __slots__ = ()
 
@@ -414,19 +440,15 @@ class PrimeKernel(_Kernel):
     def fits(p: int) -> bool:
         return p < NP_MAX_P
 
-    def __init__(self, p: int, wide: bool = False):
-        self.p, self.shape, self.unit = p, (), 1
+    def __init__(self, p: int):
+        self.p, self.p_arr, self.shape, self.unit = p, np.array(p), (), 1
         self.lane = LANE_FP_NUMPY
-        self.work = object if wide else np.int64
+        self.work = np.int64
 
-    def matrices(self, a) -> np.ndarray:
-        return np.asarray(a, dtype=np.int64)
-
-    def apply(self, m: np.ndarray, b) -> np.ndarray:
-        if self.work is object:
-            return np.asarray(m.astype(object) * np.asarray(b).astype(object) % self.p, dtype=np.int64)
-        x = m * np.asarray(b)
-        return x - x // self.p * self.p  # numpy runs this faster than x % p
+    # a residue is its own matrix, and a product of two is below p^2 < 2^60,
+    # unreduced; numpy's own functions spare the Euclid a python call each
+    matrices = staticmethod(np.asarray)
+    product = staticmethod(np.multiply)
 
     def inv(self, x) -> np.ndarray:
         """Elementwise inverses of residues (zero maps to zero), one modular
@@ -437,6 +459,21 @@ class PrimeKernel(_Kernel):
         return np.array(out, dtype=np.int64).reshape(x.shape)
 
 
+class _WidePrimeKernel(PrimeKernel):
+    """PrimeKernel for any p < 2^62: products run on python ints and come
+    back reduced, in [0, p)."""
+
+    __slots__ = ()
+
+    def __init__(self, p: int):
+        super().__init__(p)
+        self.work = object
+
+    def product(self, m, b, out=None) -> np.ndarray:
+        x = np.asarray(m).astype(object) * np.asarray(b).astype(object) % self.p
+        return _store(np.asarray(x, dtype=np.int64), out)
+
+
 class ExtKernel(_Kernel):
     """Vector arithmetic over F_{p^k} on int64 arrays of shape (..., k): the
     last axis holds one element's coefficients, reduced mod p.
@@ -444,7 +481,8 @@ class ExtKernel(_Kernel):
     Multiplication by a is F_p-linear with matrix sum_i a_i Z_i, where Z_i is
     the matrix of multiplication by z^i.  Building that matrix and applying
     it each sum k products of residues, so the kernel exists only when
-    (p - 1)^2 k < 2^62 (``fits``); larger fields keep the generic lane.
+    (p - 1)^2 k < 2^62 (``fits``), and an unreduced product lies in [0,
+    2^62); larger fields keep the generic lane.
     """
 
     __slots__ = ("k", "zflat", "modulus", "frobenius")
@@ -462,7 +500,7 @@ class ExtKernel(_Kernel):
         idx = np.arange(k)
         # zstack[i, r, c] = coefficient r of z^(i + c); kept as (k, k * k)
         zstack = zpow[idx[:, None] + idx[None, :]].transpose(0, 2, 1)
-        self.p, self.k, self.shape, self.unit = p, k, (k,), zpow[0]
+        self.p, self.p_arr, self.k, self.shape, self.unit = p, np.array(p), k, (k,), zpow[0]
         self.lane = LANE_FPK_KERNEL
         self.work = object if wide else np.int64
         self.zflat = np.ascontiguousarray(zstack).reshape(k, k * k).astype(self.work)
@@ -474,12 +512,15 @@ class ExtKernel(_Kernel):
         m = np.asarray((a.astype(self.work, copy=False) @ self.zflat) % self.p, dtype=np.int64)
         return m.reshape(a.shape[:-1] + (self.k, self.k))
 
-    def apply(self, m: np.ndarray, b) -> np.ndarray:
-        """Elementwise products of the elements with matrices m and b."""
+    def product(self, m: np.ndarray, b, out=None) -> np.ndarray:
+        """Elementwise products of the elements with matrices m and b,
+        unreduced on int64 and reduced on a wide kernel: either way in [0,
+        2^62).  Written to out when given, which may be b."""
+        b = np.asarray(b)
         if self.work is object:
-            out = np.matmul(m.astype(object), np.asarray(b).astype(object)[..., None])[..., 0]
-            return np.asarray(out % self.p, dtype=np.int64)
-        return np.matmul(m, np.asarray(b)[..., None])[..., 0] % self.p
+            x = np.matmul(m.astype(object), b.astype(object)[..., None])[..., 0]
+            return _store(np.asarray(x % self.p, dtype=np.int64), out)
+        return np.matmul(m, b[..., None], out=None if out is None else out[..., None])[..., 0]
 
     def conjugate(self, x) -> np.ndarray:
         """x^p elementwise, an F_p-linear map of the coefficients."""
@@ -499,7 +540,7 @@ class ExtKernel(_Kernel):
         for _ in range(self.k - 1):
             conj = self.conjugate(conj)
             rest = self.mul(rest, conj)
-        base = PrimeKernel(self.p, self.work is object)
+        base = PrimeKernel(self.p) if self.work is np.int64 else _WidePrimeKernel(self.p)
         return base.apply(base.inv(self.mul(x, rest)[..., :1]), rest)
 
 
@@ -515,7 +556,7 @@ def array_kernel(field: Field) -> _Kernel:
     """field.kernel, or on the generic lane a wide kernel for field."""
     if field.kernel is not None:
         return field.kernel
-    return PrimeKernel(field.p, wide=True) if isinstance(field, PrimeField) else ExtKernel(field, wide=True)
+    return _WidePrimeKernel(field.p) if isinstance(field, PrimeField) else ExtKernel(field, wide=True)
 
 
 def nonzero(field: Field, a) -> np.ndarray:

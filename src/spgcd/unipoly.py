@@ -1,40 +1,36 @@
 """Dense univariate polynomial arithmetic over the active field.
 
-Polynomials are coefficient vectors, low degree first, no trailing zeros.
-monic_gcd runs on three lanes, chosen by ``field.lane``:
+Polynomials are coefficient vectors, low degree first, no trailing zeros:
+lists of field elements, or int64 arrays ((len,) over F_p, (len, k) over
+F_{p^k}).  The list routines (poly_mul, poly_divmod, poly_mulmod,
+poly_powmod, berlekamp_massey) take field elements.  monic_gcd, root
+finding and the transposed Vandermonde solve take one polynomial (or pair,
+or system), or a batch of them as int64 arrays, and run on the field's
+array kernel (``field.array_kernel``), so on every lane alike: the F_p and
+F_{p^k} kernels, and the wide kernels on python ints past their bounds.  A
+batch of root findings shares one _Moduli, which keeps one row per
+polynomial, each its own modulus.
 
-  * generic lane      -- python lists of field elements, any field;
-  * F_p numpy lane    -- int64 vectors for prime fields with p < 2^30 (two
-                         scaled subtractions of residues stay inside int64);
-  * F_{p^k} kernel    -- (len, k) int64 arrays through the field's ExtKernel
-                         when (p - 1)^2 k < 2^62; callers pass and get lists
-                         of k-tuples, or arrays.
-
-The other list routines (poly_mul, poly_divmod, poly_mulmod, poly_powmod,
-berlekamp_massey) run on the generic lane.  Root finding and the transposed
-Vandermonde solve take one polynomial or system, or a batch of them as
-int64 arrays, and run on the field's array kernel (``field.array_kernel``),
-so on every lane alike: a batch of root findings shares one _Moduli, which
-keeps one row per polynomial, each its own modulus.
-
-monic_gcd takes one pair or a batch of pairs, one pair of rows of two int64
-arrays per GCD.  The F_p numpy lane has one Euclid for both: a single pair
-is a batch of one row.  The rows of a batch run in lockstep, since at
-generic points they share one remainder degree sequence.  While degrees are
+monic_gcd has one Euclid for one pair and for a batch of pairs: a single
+pair is a batch of one row.  The rows of a batch run in lockstep, since at
+generic points they share one remainder degree sequence.  On int64
+residues of F_p (element shape (), no wide products), while degrees are
 _BLOCK_MIN_DEG or more, a block phase extracts quotients from a window of
 the top coefficients of all rows at once (they agree with the true
 quotients while remainder degrees stay in the window's upper half) and
 applies each row's 2x2 transition matrix to its full vectors by FFT.
-Below it the Euclid runs on the whole rows.  Both phases are inverse-free:
-with c the divisor's leading coefficient, one pass r0 <- c^2 r0 - (y q1 +
-q0) y^s r1 cancels two quotient coefficients (so a quotient of degree one
-takes one pass), a last single one takes r0 <- c r0 - a r1, entries stay
-below 2 p^2 < 2^61, and one inversion per row at the end makes the results
-monic.  A row whose
-remainder degree departs from the batch's leaves and is finished from its
-inputs as a batch of one.  Rows run in batches of at most
-_LOCKSTEP_ENTRIES coefficients, which bounds the copies on wide rows.
-Other lanes take the pairs of a batch one at a time.
+Below it, and on every other kernel, the Euclid runs on the whole rows
+with the kernel's unreduced products (``product``) and one reduction per
+step (``reduce``).  Both phases are inverse-free: with c the divisor's
+leading coefficient, one pass r0 <- c^2 r0 - (y q1 + q0) y^s r1 cancels
+two quotient coefficients (so a quotient of degree one takes one pass), a
+last single one takes r0 <- c r0 - a r1, each product lies in [0, 2^62) so
+the sums stay inside int64, and one inversion per row at the end makes the
+results monic.  A row whose remainder degree departs from the batch's, or
+whose leading coefficient vanishes, is finished from its inputs as a batch
+of one.  Rows run in batches of at most _LOCKSTEP_ENTRIES coefficients,
+which bounds the copies on wide rows.  _generic_monic_gcd, a Euclid on
+field elements, is the reference the tests compare with.
 """
 
 from __future__ import annotations
@@ -45,17 +41,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DivisionByZero, InvalidInput, RootDeficit, SingularSystem
-from .field import (
-    LANE_FP_NUMPY,
-    LANE_FPK_KERNEL,
-    LANE_GENERIC,
-    ExtField,
-    Field,
-    array_kernel,
-    elements,
-    lane,
-    nonzero,
-)
+from .field import ExtField, Field, array_kernel, elements, nonzero
 
 _FFT_MAX_P = 1 << 24  # 8-bit digit split keeps FFT rounding below 1/4
 _FFT_MIN_SIZE = 24_000  # MAC count under which np.convolve wins
@@ -148,20 +134,20 @@ def monic(field: Field, f):
 
 
 # ---------------------------------------------------------------------------
-# F_p numpy lane (int64, p < 2^30): one Euclid for one row pair or many
+# One Euclid for one pair or many, on the field's array kernel
 # ---------------------------------------------------------------------------
 
 
+def _live(a):
+    """Mask, along a's first axis, of its nonzero elements (the axes after
+    the first hold one element each)."""
+    return a.any(axis=tuple(range(1, a.ndim)))
+
+
 def _np_trim(a):
-    nonzero = np.flatnonzero(a)
-    return a[: nonzero[-1] + 1] if len(nonzero) else a[:0]
-
-
-def _np_rem(a, p):
-    """a mod p in place for an int64 array of either sign: numpy runs
-    a - (a // p) p about twice as fast as a % p."""
-    a -= a // p * p
-    return a
+    """a without its trailing zero elements."""
+    live = np.flatnonzero(_live(a))
+    return a[: live[-1] + 1] if len(live) else a[:0]
 
 
 def _planes(a, N):
@@ -239,14 +225,15 @@ def _np_apply(p, m, r0, r1):
     return out
 
 
-def _np_top_degree(M, d):
-    """The largest e <= d whose coefficients M[e] (one per row) are not all
+def _top_degree(M, d):
+    """The largest e <= d whose elements M[e] (one per row) are not all
     zero, -1 if none, and the mask of the rows nonzero there, or None when
     all are."""
     while d >= 0:
-        live = np.count_nonzero(M[d])
-        if live:
-            return d, None if live == len(M[d]) else M[d] != 0
+        live = M[d] if M.ndim == 2 else _live(M[d])
+        count = np.count_nonzero(live)
+        if count:
+            return d, None if count == len(live) else live != 0
         d -= 1
     return d, None
 
@@ -311,7 +298,7 @@ def _np_window_rows(p, W0, W1, h):
         if t == d1:
             eliminate(c, R[prev, :, t, None].copy(), None, 0)
         prev, cur = cur, prev
-        d, stay = _np_top_degree(R[cur].T, d1 - 1)
+        d, stay = _top_degree(R[cur].T, d1 - 1)
         if stay is not None:  # copy() keeps buf C-contiguous, so reshape(-1) is a view
             rows, buf, tmp = rows[stay], buf[:, stay].copy(), tmp[stay]
             R = buf[..., 2 * wc :]
@@ -352,112 +339,86 @@ def _np_lockstep_block(p, R0, R1):
     return rows, R0, R1
 
 
-def _np_lockstep_gcd(p, R0, R1):
-    """Monic gcds of all row pairs at once, for rows of residues whose
-    degrees are the arrays' widths minus one (deg R0 >= deg R1; R1 may be
-    empty): the block phase (_np_lockstep_block), then an inverse-free
-    Euclid on the whole rows, with steps as in _np_window_rows, so entries
-    stay below 2 p^2 < 2^61.  The batch's remainder degree is the largest
-    among its rows (a special row can only fall short of the generic
-    degree); a row whose remainder falls short leaves.  Returns the indices
-    of the rows that stayed and their monic gcds.
+def _lockstep_euclid(kern, R0, R1):
+    """Monic gcds of all row pairs at once on the kernel kern, for rows of
+    elements whose degrees are the arrays' widths minus one (deg R0 >= deg
+    R1; R1 may be empty): an inverse-free Euclid on the whole rows, with
+    steps as in _np_window_rows.  Each step sums three products, each in [0,
+    2^62) (kern.product), and reduces once, so entries stay inside int64.
+    The batch's remainder degree is the largest among its rows (a special
+    row can only fall short of the generic degree); a row whose remainder
+    falls short leaves.  Returns the indices of the rows that stayed and
+    their monic gcds.
 
-    Coefficients are stored one degree per row (transposed): a step touches
-    only the degrees below the divisor's, a contiguous prefix, while the
-    window's rows, which carry cofactors, are short enough to pass whole."""
-    rows, R0, R1 = _np_lockstep_block(p, R0, R1)
-    r0, r1 = R0.T.copy(), R1.T.copy()
+    Coefficients are stored one degree per row (the first two axes
+    swapped): a step touches only the degrees below the divisor's, a
+    contiguous prefix."""
+    r0, r1 = np.swapaxes(R0, 0, 1).copy(), np.swapaxes(R1, 0, 1).copy()
+    rows = np.arange(len(R0))
     d1 = len(r1) - 1
-    p_arr = np.array(p)  # numpy takes a 0-d array operand faster than an int
+    matrices, product, reduce = kern.matrices, kern.product, kern.reduce
     while d1 >= 0 and len(rows):
-        c, e = r1[d1], r1[d1 - 1] if d1 else 0
+        c = matrices(r1[d1])
         top = len(r0) - 1
+        if top > d1:
+            cc = matrices(reduce(product(c, r1[d1])))
+            e = matrices(r1[d1 - 1]) if d1 else None
         while top > d1:  # two quotient coefficients per pass, as in _np_window_rows
             s = top - 1 - d1
-            q = r0[top - 1 : top + 1] * c  # c b, c a
-            q[0] -= r0[top] * e
-            q %= p_arr
-            head = r0[: top - 1]  # columns top - 1 and top cancel exactly and are dropped
-            head *= c * c % p_arr
-            head[s:] -= r1[:d1] * q[0]
-            head[s + 1 :] -= r1[: d1 - 1] * q[1]
-            _np_rem(head, p_arr)
+            q = product(c, r0[top - 1 : top + 1])  # c b, c a
+            if e is not None:
+                q[0] -= product(e, r0[top])
+            q = matrices(reduce(q))
+            head = r0[: top - 1]  # degrees top - 1 and top cancel exactly and are dropped
+            product(cc, head, out=head)
+            head[s:] -= product(q[0], r1[:d1])
+            head[s + 1 :] -= product(q[1], r1[: d1 - 1])
+            reduce(head)
             top -= 2
         if top == d1:
             head = r0[:top]
-            head *= c
-            head -= r1[:d1] * r0[top]
-            _np_rem(head, p_arr)
-        d, stay = _np_top_degree(r0, d1 - 1)
+            product(c, head, out=head)
+            head -= product(matrices(r0[top]), r1[:d1])
+            reduce(head)
+        d, stay = _top_degree(r0, d1 - 1)
         r0 = r0[: d + 1]
         if stay is not None:
             rows, r0, r1 = rows[stay], r0[:, stay], r1[:, stay]
         r0, r1, d1 = r1, r0, d
-    inv = [pow(int(c), -1, p) for c in r0[-1]] if len(r0) else []
-    return rows, (r0 * np.array(inv, dtype=np.int64) % p).T
+    if len(r0):  # else every row left the block phase
+        r0 = kern.mul(kern.inv(r0[-1]), r0)
+    return rows, np.swapaxes(r0, 0, 1)
 
 
-def _np_monic_gcd(field, u, v):
-    """One gcd on the F_p numpy lane, as a batch of one row.  Should the row
-    leave (only a window result of an unexpected degree makes it),
-    _generic_monic_gcd finishes it."""
-    p = field.p
-    r0 = _np_trim(np.asarray(u, dtype=np.int64) % p)
-    r1 = _np_trim(np.asarray(v, dtype=np.int64) % p)
+def _lockstep_gcd(kern, R0, R1):
+    """_lockstep_euclid, after the block phase where the rows are int64
+    residues (the phase's FFT products need them) and wide enough.  Returns
+    the indices of the rows that stayed and their monic gcds."""
+    rows = np.arange(len(R0))
+    if kern.shape == () and kern.work is np.int64 and R0.shape[1] - 1 >= _BLOCK_MIN_DEG:
+        rows, R0, R1 = _np_lockstep_block(kern.p, R0, R1)
+    kept, G = _lockstep_euclid(kern, R0, R1)
+    return rows[kept], G
+
+
+def _monic_gcd_alone(kern, u, v):
+    """The monic gcd of one pair of coefficient vectors, as a batch of one
+    row.  Should the row leave the block phase (only a window result of an
+    unexpected degree makes it), the Euclid finishes it on the whole rows."""
+    r0, r1 = _np_trim(u), _np_trim(v)
     if len(r0) < len(r1):
         r0, r1 = r1, r0
     if not len(r0):
         raise InvalidInput("gcd(0, 0) undefined")
-    kept, G = _np_lockstep_gcd(p, r0[None], r1[None])
+    kept, G = _lockstep_gcd(kern, r0[None], r1[None])
     if not len(kept):
-        return np.array(_generic_monic_gcd(field, r0.tolist(), r1.tolist()), dtype=np.int64)
+        kept, G = _lockstep_euclid(kern, r0[None], r1[None])
     return G[0]
 
 
-# ---------------------------------------------------------------------------
-# F_{p^k} kernel lane: coefficient vectors as (len, k) int64 arrays
-# ---------------------------------------------------------------------------
-
-
-def _ext_trim(a):
-    n = len(a)
-    while n > 0 and not a[n - 1].any():
-        n -= 1
-    return a[:n]
-
-
-def _ext_inv(field: ExtField, a):
-    """Inverse of one element given as a kernel row."""
-    return np.array(field.inv(tuple(a.tolist())), dtype=np.int64)
-
-
-def _ext_monic_gcd(field: ExtField, u, v):
-    """Euclid on the kernel without inverses: each elimination step replaces
-    r0 by lc(r1) r0 - lc(r0) y^s r1, which spans the same ideal, so only the
-    last remainder is inverted, to make it monic.  Returns an array when
-    either input is one."""
-    kern, p = field.kernel, field.p
-    r0 = _ext_trim(kern.array(u) % p)
-    r1 = _ext_trim(kern.array(v) % p)
-    if len(r0) < len(r1):
-        r0, r1 = r1, r0
-    if not len(r0):
-        raise InvalidInput("gcd(0, 0) undefined")
-    while len(r1):
-        m1 = kern.matrices(r1)
-        d1 = len(r1) - 1
-        for top in range(len(r0) - 1, d1 - 1, -1):
-            q = r0[top].copy()
-            head = r0[: top + 1]
-            head[:] = np.matmul(m1[-1], head[..., None])[..., 0]
-            head[top - d1 :] -= np.matmul(m1, q)
-            head %= p
-        r0, r1 = r1, _ext_trim(r0[:d1])
-    g = kern.mul(_ext_inv(field, r0[-1]), r0)
-    return g if isinstance(u, np.ndarray) or isinstance(v, np.ndarray) else elements(field, g)
-
-
 def _generic_monic_gcd(field: Field, u, v):
+    """Euclid on lists of field elements, one inversion per step: the
+    reference the tests compare monic_gcd with."""
     r0, r1 = trim(list(u)), trim(list(v))
     while r1:
         d0, d1 = len(r0) - 1, len(r1) - 1
@@ -484,42 +445,33 @@ def monic_gcd(field: Field, u, v):
     residues, low degree first, one pair per row: (N, width) over F_p,
     (N, width, k) over F_{p^k}.  Returns (G, lockstep): G holds the gcds
     zero-padded to one width, and lockstep counts the rows that finished in
-    the shared pass (on the F_p numpy lane, those whose leading coefficients
-    are nonzero and whose remainder degrees never left the batch's).  No
-    pair of rows may be both zero."""
-    if isinstance(u, np.ndarray) and u.ndim == 2 + isinstance(field, ExtField):
-        return _monic_gcd_rows(field, u, v)
-    ln = lane(field)
-    if ln == LANE_FPK_KERNEL:
-        return _ext_monic_gcd(field, u, v)
-    if ln == LANE_FP_NUMPY:
-        g = _np_monic_gcd(field, u, v)
-        return g if isinstance(u, np.ndarray) or isinstance(v, np.ndarray) else g.tolist()
-    if not any(_nonzero(c) for c in u) and not any(_nonzero(c) for c in v):
-        raise InvalidInput("gcd(0, 0) undefined")
-    return _generic_monic_gcd(field, u, v)
+    the shared pass (those whose leading coefficients are nonzero and whose
+    remainder degrees never left the batch's).  No pair of rows may be both
+    zero."""
+    kern = array_kernel(field)
+    if isinstance(u, np.ndarray) and u.ndim == 2 + len(kern.shape):
+        return _monic_gcd_rows(kern, u, v)
+    g = _monic_gcd_alone(kern, kern.array(u) % field.p, kern.array(v) % field.p)
+    return g if isinstance(u, np.ndarray) or isinstance(v, np.ndarray) else elements(field, g)
 
 
-def _monic_gcd_rows(field: Field, U, V):
+def _monic_gcd_rows(kern, U, V):
     N = len(U)
-    done, lockstep = {}, 0
-    if lane(field) == LANE_FP_NUMPY and N and min(U.shape[1], V.shape[1]) > 0:
-        p = field.p
-        if U.shape[1] < V.shape[1]:
-            U, V = V, U
-        size = max(1, _LOCKSTEP_ENTRIES // U.shape[1])
+    if U.shape[1] < V.shape[1]:
+        U, V = V, U
+    done = {}
+    if N and V.shape[1]:
+        lead = _live(U[:, -1]) & _live(V[:, -1])
+        size = max(1, _LOCKSTEP_ENTRIES // U[0].size)
         for start in range(0, N, size):
-            chunk = slice(start, start + size)
-            rows = start + np.flatnonzero((U[chunk, -1] != 0) & (V[chunk, -1] != 0))
-            kept, G = _np_lockstep_gcd(p, U[rows], V[rows])
+            rows = start + np.flatnonzero(lead[start : start + size])
+            kept, G = _lockstep_gcd(kern, U[rows], V[rows])
             if len(kept) == N:  # one chunk, and every row stayed in lockstep
                 return G, N
             done.update(zip(rows[kept].tolist(), G))
-        lockstep = len(done)
-    generic = lane(field) == LANE_GENERIC
+    lockstep = len(done)
     for i in set(range(N)) - done.keys():
-        u, v = (elements(field, U[i]), elements(field, V[i])) if generic else (U[i], V[i])
-        done[i] = np.asarray(monic_gcd(field, u, v), dtype=np.int64)
+        done[i] = _monic_gcd_alone(kern, U[i], V[i])
     out = np.zeros((N, max((len(g) for g in done.values()), default=0)) + U.shape[2:], dtype=np.int64)
     for i, g in done.items():
         out[i, : len(g)] = g

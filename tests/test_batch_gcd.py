@@ -4,9 +4,12 @@ Rows are built as g * a and g * b with one common g per batch, so at large p
 they follow one remainder degree sequence and run in lockstep.  Some rows get
 a planted disturbance that makes them leave the lockstep Euclid: an extra
 common factor, a vanishing leading coefficient, a remainder that vanishes
-early, or a first remainder two degrees short.
+early, or a first remainder two degrees short.  Fields sit on both sides of
+each kernel's bound: p < 2^30 for the F_p kernel, (p - 1)^2 k < 2^62 for the
+F_{p^k} kernel, and the wide kernels past them.
 """
 
+import math
 import random
 
 import numpy as np
@@ -16,10 +19,13 @@ from hypothesis import strategies as st
 
 from spgcd.engine import GcdConfig, gcd
 from spgcd.field import (
+    LANE_FP_NUMPY,
     LANE_FPK_KERNEL,
     LANE_GENERIC,
     ExtField,
+    ExtKernel,
     PrimeField,
+    array_kernel,
     elements,
     find_irreducible,
     is_probable_prime,
@@ -38,7 +44,27 @@ def largest_prime_below(n):
     return p
 
 
-PRIMES = (2, 3, 101, 10000019, largest_prime_below(1 << 30))
+def first_prime_past(n):
+    p = n + 1
+    while not is_probable_prime(p):
+        p += 1
+    return p
+
+
+def ext_field(p, k):
+    return ExtField(p, find_irreducible(p, k, random.Random(p + k)))
+
+
+FP_EDGE = 1 << 30  # the F_p kernel takes p below it
+EXT_EDGE = math.isqrt(((1 << 62) - 1) // 2) + 1  # the largest p with 2 (p - 1)^2 < 2^62
+PRIMES = (2, 3, 101, 10000019, largest_prime_below(FP_EDGE), first_prime_past(FP_EDGE))
+EXT_FIELDS = (
+    ext_field(2, 4),
+    ext_field(3, 3),
+    ext_field(101, 3),
+    ext_field(largest_prime_below(EXT_EDGE + 1), 2),  # the F_{p^k} kernel's largest p at k = 2
+    ext_field(first_prime_past(EXT_EDGE), 2),  # the wide kernel
+)
 KINDS = ("generic", "extra_factor", "lc_vanishes", "early_zero", "short_remainder")
 
 
@@ -49,12 +75,15 @@ def rand_poly(field, deg, rng):
 
 def poly_add(field, a, b):
     n = max(len(a), len(b))
-    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    a, b = a + [field.zero] * (n - len(a)), b + [field.zero] * (n - len(b))
     return [field.add(x, y) for x, y in zip(a, b)]
 
 
 def poly_mul(field, a, b):
-    """Product by the F_p numpy lane's multiplication (FFT for wide rows)."""
+    """Product by the F_p numpy lane's multiplication (FFT for wide rows),
+    or by unipoly's over F_{p^k}."""
+    if isinstance(field, ExtField):
+        return unipoly.poly_mul(field, a, b)
     return trim(_np_mul(field.p, np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)).tolist())
 
 
@@ -73,12 +102,16 @@ def planted_row(field, kind, g, du, dv, rng):
         a = poly_add(field, poly_mul(field, q, b), rand_poly(field, dv - 2, rng))
     u, v = poly_mul(field, g, a), poly_mul(field, g, b)
     if kind == "lc_vanishes":
-        (u if rng.random() < 0.5 else v)[-1] = 0
+        (u if rng.random() < 0.5 else v)[-1] = field.zero
     return u, v
 
 
-def as_rows(polys, width):
-    return np.array([list(f) + [0] * (width - len(f)) for f in polys], dtype=np.int64)
+def as_rows(field, polys, width):
+    kern = array_kernel(field)
+    out = np.zeros((len(polys), width) + kern.shape, dtype=np.int64)
+    for row, f in zip(out, polys):
+        row[: len(f)] = kern.array(f)
+    return out
 
 
 def check_rows(field, U, V):
@@ -91,13 +124,14 @@ def check_rows(field, U, V):
     return lockstep
 
 
-def planted_batch(p, kinds, dg, du, dv, seed):
-    field = PrimeField(p)
+def planted_batch(field, kinds, dg, du, dv, seed):
+    """The field (a prime p for F_p) and the rows of a planted batch."""
+    field = PrimeField(field) if isinstance(field, int) else field
     rng = random.Random(seed)
     g = rand_poly(field, dg, rng)
     pairs = [planted_row(field, kind, g, du, dv, rng) for kind in kinds]
-    U = as_rows([u for u, _ in pairs], du + dg + 1)
-    V = as_rows([v for _, v in pairs], dv + dg + 1)
+    U = as_rows(field, [u for u, _ in pairs], du + dg + 1)
+    V = as_rows(field, [v for _, v in pairs], dv + dg + 1)
     return field, U, V
 
 
@@ -112,6 +146,21 @@ def planted_batch(p, kinds, dg, du, dv, seed):
 )
 def test_rows_match_monic_gcd(p, kinds, dg, du, gap, seed):
     field, U, V = planted_batch(p, kinds, dg, du, max(du - gap, 2), seed)
+    check_rows(field, U, V)
+    check_rows(field, V, U)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    field=st.sampled_from(EXT_FIELDS),
+    kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=6),
+    dg=st.integers(0, 4),
+    du=st.integers(3, 9),
+    gap=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ext_rows_match_monic_gcd(field, kinds, dg, du, gap, seed):
+    field, U, V = planted_batch(field, kinds, dg, du, max(du - gap, 2), seed)
     check_rows(field, U, V)
     check_rows(field, V, U)
 
@@ -149,7 +198,7 @@ def test_wide_proportional_rows():
     v = [field.mul(3, c) for c in u]
     want = monic(field, u)
     assert list(monic_gcd(field, u, v)) == want
-    G, lockstep = monic_gcd(field, as_rows([u, u], len(u)), as_rows([v, u], len(u)))
+    G, lockstep = monic_gcd(field, as_rows(field, [u, u], len(u)), as_rows(field, [v, u], len(u)))
     assert lockstep == 2
     assert G.tolist() == [want, want]
 
@@ -197,9 +246,16 @@ def test_planted_rows_leave_the_wide_lockstep():
 def test_single_row_and_other_lanes():
     field, U, V = planted_batch(10000019, ["generic"], 3, 8, 5, seed=2)
     assert check_rows(field, U, V) == 1
-    # p >= 2^30 is off the numpy lane: every row is taken alone
+    # p >= 2^30 runs on the wide kernel, in lockstep as on the numpy lane,
+    # and planted rows leave it there too
     field, U, V = planted_batch(2**31 - 1, ["generic"] * 3, 3, 8, 5, seed=3)
-    assert check_rows(field, U, V) == 0
+    assert lane(field) == LANE_GENERIC
+    assert check_rows(field, U, V) == 3
+    kinds = ["generic", "extra_factor", "lc_vanishes", "generic", "early_zero", "short_remainder"]
+    for p in (largest_prime_below(FP_EDGE), first_prime_past(FP_EDGE)):
+        field, U, V = planted_batch(p, kinds, 3, 8, 5, seed=4)
+        assert lane(field) == (LANE_FP_NUMPY if p < FP_EDGE else LANE_GENERIC)
+        assert check_rows(field, U, V) == 2
 
 
 def test_rows_split_into_batches(monkeypatch):
@@ -226,25 +282,22 @@ def test_one_row_with_a_wide_first_quotient(p):
 
 
 @pytest.mark.parametrize(
-    "p, k, kind", [(101, 3, LANE_FPK_KERNEL), (2**31 - 1, 2, LANE_GENERIC)], ids=["kernel", "generic"]
+    "p, k, kind",
+    [
+        (101, 3, LANE_FPK_KERNEL),
+        (2**31 - 1, 2, LANE_GENERIC),
+        (largest_prime_below(EXT_EDGE + 1), 2, LANE_FPK_KERNEL),
+        (first_prime_past(EXT_EDGE), 2, LANE_GENERIC),
+    ],
+    ids=["kernel", "generic", "kernel-edge", "past-edge"],
 )
 def test_batch_on_extension_lanes(p, k, kind):
-    # F_{p^k} rows, on the kernel lane and where it does not fit; the second
-    # row has an extra common factor and the third a vanishing leading
-    # coefficient
-    rng = random.Random(9)
-    field = ExtField(p, find_irreducible(p, k, rng))
+    # F_{p^k} rows, on the kernel lane, at its bound and where it does not
+    # fit: the generic rows run in lockstep, and each planted row leaves
+    field = ext_field(p, k)
     assert lane(field) == kind
-    g = rand_poly(field, 3, rng)
-    h = rand_poly(field, 1, rng)
-    pairs = []
-    for extra in ([field.one], h, [field.one]):  # deg a = 8, deg b = 6
-        a = unipoly.poly_mul(field, extra, rand_poly(field, 9 - len(extra), rng))
-        b = unipoly.poly_mul(field, extra, rand_poly(field, 7 - len(extra), rng))
-        pairs.append((unipoly.poly_mul(field, g, a), unipoly.poly_mul(field, g, b)))
-    pairs[2][0][-1] = field.zero
-    zero = (0,) * k
-    U = np.array([u + [zero] * (12 - len(u)) for u, _ in pairs], dtype=np.int64)
-    V = np.array([v + [zero] * (10 - len(v)) for _, v in pairs], dtype=np.int64)
-    assert U.shape == (3, 12, k)
-    assert check_rows(field, U, V) == 0
+    assert ExtKernel.fits(p, k) == (kind == LANE_FPK_KERNEL)
+    kinds = ["generic", "extra_factor", "lc_vanishes", "generic", "early_zero", "short_remainder", "generic"]
+    field, U, V = planted_batch(field, kinds, 3, 8, 6, seed=9)
+    assert U.shape == (7, 12, k)
+    assert check_rows(field, U, V) == 3

@@ -1,10 +1,21 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spgcd.engine import GcdConfig, gcd, hankel_first_singular, primitive_gcd
+from spgcd.engine import GcdConfig, _hankel_singular, gcd, hankel_first_singular, primitive_gcd
 from spgcd.errors import InvalidInput
-from spgcd.field import LANE_FP_NUMPY, LANE_FPK_KERNEL, LANE_GENERIC, PrimeField, find_primitive_root
+from spgcd.field import (
+    LANE_FP_NUMPY,
+    LANE_FPK_KERNEL,
+    LANE_GENERIC,
+    ExtField,
+    PrimeField,
+    array_kernel,
+    find_irreducible,
+    find_primitive_root,
+)
 from spgcd.instances import gen_triple, random_poly
 from spgcd.oracle import dense_gcd, divides_exactly, sparse_mul
 from spgcd.sparse import SparsePoly, homogenize, lex_monic, monomial_primitive
@@ -12,6 +23,60 @@ from spgcd.sparse import SparsePoly, homogenize, lex_monic, monomial_primitive
 F7 = PrimeField(7)
 F11 = PrimeField(11)
 FP = PrimeField(10000019)
+
+
+def ext_field(p, k):
+    return ExtField(p, find_irreducible(p, k, random.Random(p + k)))
+
+
+# the F_p kernel, the F_{p^k} kernel, the wide kernels and tiny fields
+HANKEL_FIELDS = (
+    FP,
+    PrimeField(2**30 - 35),
+    ext_field(101, 3),
+    ext_field(1000003, 2),
+    PrimeField(2**31 - 1),
+    ext_field(2**31 - 1, 2),
+    PrimeField(2),
+    PrimeField(3),
+    ext_field(2, 4),
+    ext_field(3, 3),
+)
+
+
+def t_sparse_sequence(field, t, rng):
+    """v_1, ..., v_(2t+1) of sum_j c_j m_j^i, t distinct nonzero m_j, c_j != 0."""
+    nodes = set()
+    while len(nodes) < t:
+        nodes.add(field.rand_unit(rng))
+    terms = [(field.rand_unit(rng), m) for m in sorted(nodes)]
+    vals = []
+    for i in range(1, 2 * t + 2):
+        v = field.zero
+        for c, m in terms:
+            v = field.add(v, field.mul(c, field.pow_(m, i)))
+        vals.append(v)
+    return vals
+
+
+def hankel(vals, s):
+    return [[vals[i + j] for j in range(s)] for i in range(s)]
+
+
+def generic_singular(field, M):
+    """det M == 0, by Gaussian elimination on field elements (the reference)."""
+    M = [list(row) for row in M]
+    n = len(M)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r][col] != field.zero), None)
+        if piv is None:
+            return True
+        M[col], M[piv] = M[piv], M[col]
+        inv = field.inv(M[col][col])
+        for r in range(col + 1, n):
+            f = field.mul(M[r][col], inv)
+            M[r] = [field.sub(a, field.mul(f, b)) for a, b in zip(M[r], M[col])]
+    return False
 
 
 def poly(field, nvars, terms):
@@ -48,6 +113,29 @@ class TestHankel:
     def test_not_yet(self):
         vals = [(pow(2, i, 101) + 5 * pow(3, i, 101)) % 101 for i in range(1, 4)]
         assert hankel_first_singular(PrimeField(101), vals, 2) is None
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(data=st.data())
+    def test_t_sparse_sequence_on_every_lane(self, data):
+        # v_i = sum_j c_j m_j^i with t distinct nonzero m_j and nonzero c_j:
+        # HK_t = V^T diag(c_j m_j) V is nonsingular and HK_(t+1) singular;
+        # a smaller HK_s can be singular too, mostly in tiny fields
+        field = data.draw(st.sampled_from(HANKEL_FIELDS))
+        t = data.draw(st.integers(0, min(5, field.order - 1)))
+        vals = t_sparse_sequence(field, t, random.Random(data.draw(st.integers(0, 2**32 - 1))))
+        singular = [generic_singular(field, hankel(vals, s)) for s in range(1, t + 2)]
+        assert singular[t] and not (t and singular[t - 1])
+        as_array = array_kernel(field).array(vals)  # the engine's form
+        assert [_hankel_singular(field, as_array, s) for s in range(1, t + 2)] == singular
+        assert hankel_first_singular(field, vals, t + 1) == singular.index(True) + 1
+
+    @pytest.mark.parametrize("field", [f for f in HANKEL_FIELDS if f.order > 1000], ids=repr)
+    def test_first_singular_is_t_plus_one(self, field):
+        rng = random.Random(12)
+        for t in range(6):
+            vals = t_sparse_sequence(field, t, rng)
+            assert hankel_first_singular(field, vals, t + 1) == t + 1
+            assert hankel_first_singular(field, array_kernel(field).array(vals), t + 1) == t + 1
 
 
 class TestPrimitiveGcd:
@@ -276,15 +364,16 @@ class TestTrace:
         assert tr.lockstep_rows == (6 + 1) * 2 * tr.term_bounds.global_T
         assert tr.fallback_rows == 0
 
-    def test_stage_iv_rows_per_row_off_the_numpy_lane(self):
-        # p >= 2^30 has no numpy lane: every grid row runs monic_gcd alone
+    def test_stage_iv_rows_in_lockstep_on_the_wide_lane(self):
+        # p >= 2^30 has no numpy lane: its grid rows run in lockstep on the
+        # wide kernel
         field = PrimeField(2**31 - 1)
         A, B, G = gen_triple(field, random.Random(2), 3, 6, 6)
         got, tr = gcd(field, A, B, GcdConfig(seed=4, omega=7, term_strategy="linear"))
         assert got == G and tr.retries == 0
         assert tr.lanes["IV"] == tr.lanes["V"] == LANE_GENERIC
-        assert tr.lockstep_rows == 0
-        assert tr.fallback_rows == (3 + 1) * 2 * tr.term_bounds.global_T
+        assert tr.lockstep_rows == (3 + 1) * 2 * tr.term_bounds.global_T
+        assert tr.fallback_rows == 0
 
     def test_extension_path_reports_kernel_lane(self):
         # the ext_field benchmark shape: p = 1000003 without omega
@@ -294,7 +383,9 @@ class TestTrace:
         assert got == G
         assert tr.ext2_degree > 1 and tr.ext3_degree > 1
         assert tr.lanes == {"II": LANE_FPK_KERNEL, "IV": LANE_FPK_KERNEL, "V": LANE_FPK_KERNEL}
-
+        assert tr.retries == 0
+        assert tr.lockstep_rows == (4 + 1) * 2 * tr.term_bounds.global_T
+        assert tr.fallback_rows == 0
 
     def test_stage_v_records_split_rounds(self):
         A, B, G = gen_triple(FP, random.Random(3), 6, 30, 30)
