@@ -34,13 +34,13 @@ Batched GCDs.  Stages II and IV hand their image pairs to unipoly.monic_gcd
 as two arrays, one row per point; Stage II the new images of each Hankel
 round (1, 2, 2, ... under "linear", 1, 2, 4, ... under "doubling").  At
 generic points the pairs share one remainder degree sequence, so they run
-in lockstep, on every lane (the field's array kernel); a row that departs,
-or whose leading coefficient vanishes, is finished alone.  As with one GCD
+in lockstep, on every lane (the field's kernel); a row that departs, or
+whose leading coefficient vanishes, is finished alone.  As with one GCD
 per point, only a final GCD degree other than Stage II's aborts the
 attempt, and Stage II checks its images in order, so the first bad one
 decides the failure.  StageTrace.lockstep_rows and fallback_rows count
 Stage IV's rows of both kinds.  The Hankel test and the scaling of images
-run on the array kernel too.
+run on the field's kernel too.
 
 Every detectable inconsistency (vanishing leading coefficient, image degree
 drift, interpolation failure) aborts the attempt; the driver retries with
@@ -61,10 +61,8 @@ from .field import (
     ExtField,
     Field,
     PrimeField,
-    array_kernel,
     find_irreducible,
     find_primitive_root,
-    lane,
     multiplicative_order_exceeds,
     nonzero,
     prod,
@@ -126,7 +124,7 @@ class TermBounds:
 @dataclass
 class StageTrace:
     """Observability record for one primitive_gcd call.  ``lanes`` maps
-    stages "II", "IV" and "V" to the arithmetic lane (``field.lane``) of the
+    stages "II", "IV" and "V" to the lane (``field.kernel.lane``) of the
     field their images, univariate GCDs and interpolation ran in.
     ``lockstep_rows`` and ``fallback_rows`` count Stage IV grid rows, summed
     over attempts, whose GCD finished in the batch's shared pass or was
@@ -170,10 +168,10 @@ class _StageFailure(Exception):
 
 def _hankel_singular(field: Field, values, size: int) -> bool:
     """det HK_size == 0, where HK has entries v_(i+j-1) and values[0] = v_1:
-    inverse-free Gaussian elimination on the field's array kernel."""
+    inverse-free Gaussian elimination on the field's kernel."""
     if len(values) < 2 * size - 1:
         raise InvalidInput("need 2*size - 1 values")
-    kern = array_kernel(field)
+    kern = field.kernel
     idx = np.arange(size)
     M = (kern.array(values) % field.p)[idx[:, None] + idx[None, :]]
     for col in range(size):
@@ -211,7 +209,7 @@ def _degrees(support) -> np.ndarray:
 
 def _scale_rows(field, X, scales) -> np.ndarray:
     """Row i of the int64 array X times scales[i], as an int64 array."""
-    kern = array_kernel(field)
+    kern = field.kernel
     return kern.mul(kern.array(scales)[:, None], X)
 
 
@@ -323,7 +321,7 @@ def _run_primitive(field: PrimeField, A, B, cfg: GcdConfig, rng, trace: StageTra
     sigma = tuple(E2.rand_unit(rng) for _ in range(n))
     trace.sigma = sigma
     stream = _ImageStream(E2, homo1, homo2, sigma, d)
-    trace.lanes["II"] = lane(E2)
+    trace.lanes["II"] = E2.kernel.lane
 
     T = 1
     first_singular: dict = {}
@@ -374,7 +372,7 @@ def _run_primitive(field: PrimeField, A, B, cfg: GcdConfig, rng, trace: StageTra
     count = 2 * global_T
     U = PowerImageEvaluator(E3, homo1, alpha).grid(count, omega)
     V = PowerImageEvaluator(E3, homo2, alpha).grid(count, omega)
-    trace.lanes["IV"] = lane(E3)
+    trace.lanes["IV"] = E3.kernel.lane
     if not (nonzero(E3, U[:, homo1.max_ydeg]).all() and nonzero(E3, V[:, homo2.max_ydeg]).all()):
         raise _StageFailure("IV", "leading coefficient vanished")
     G, lockstep = monic_gcd(E3, U, V)
@@ -403,7 +401,7 @@ def _run_primitive(field: PrimeField, A, B, cfg: GcdConfig, rng, trace: StageTra
 
     # Stage V: all layers as one interpolation batch
     t0 = time.perf_counter()
-    trace.lanes["V"] = lane(E3)
+    trace.lanes["V"] = E3.kernel.lane
     try:
         layers, rounds = interpolate(E3, LayerGrids(alpha, omega, bounds, values), 2 * d, rng)
     except InterpolationError as exc:

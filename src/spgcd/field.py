@@ -4,17 +4,15 @@ Elements of F_p are plain ints in [0, p); elements of F_{p^k} are k-tuples of
 ints (coefficients of the residue polynomial, low degree first).  Fields are
 immutable after construction and all operations are pure.
 
-Every field carries its vector arithmetic as ``field.kernel``: a
-``PrimeKernel`` on int64 arrays of residues for F_p with p < 2^30, an
-``ExtKernel`` on (..., k) int64 arrays for F_{p^k} with (p - 1)^2 k < 2^62,
-and None for every other field, which keeps python scalars and k-tuples (the
-generic lane).  Both kernels share one interface, so a layer runs "kernel or
-generic".  ``lane`` names a field's kernel, for traces.  Code written only
-for arrays takes ``array_kernel``: the field's kernel, or on the generic
-lane a wide kernel of the same interface whose products run on python ints
-(every residue is below 2^62, so arrays stay int64).  unipoly's Euclid, root
-finding and Vandermonde solve, and the engine's Hankel test and image
-scaling, run on it, so each is written once for every field.
+Every field carries its vector arithmetic as ``field.kernel``, built once
+by its constructor, the one place that picks it: a ``PrimeKernel`` on int64
+arrays of residues for F_p with p < 2^30, an ``ExtKernel`` on (..., k) int64
+arrays for F_{p^k} with (p - 1)^2 k < 2^62, and past those bounds a wide
+kernel of the same interface whose products and sums run on python ints
+(every residue is below 2^62, so arrays stay int64).  ``kernel.lane`` names
+it, for traces.  The image evaluator, unipoly's Euclid, root finding and
+Vandermonde solve, and the engine's Hankel test and image scaling run on
+it, so each is written once for every field.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ _REM_SPLIT = 800  # entries from which _Kernel.reduce divides rather than takes 
 
 LANE_FP_NUMPY = "fp-numpy"
 LANE_FPK_KERNEL = "fpk-kernel"
-LANE_GENERIC = "generic"
+LANE_WIDE = "wide"
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -151,7 +149,7 @@ class PrimeField:
         self.order = p
         self.zero = 0
         self.one = 1 % p
-        self.kernel = PrimeKernel(p) if PrimeKernel.fits(p) else None
+        self.kernel = PrimeKernel(p) if PrimeKernel.fits(p) else _WidePrimeKernel(p)
 
     def __repr__(self):
         return f"PrimeField({self.p})"
@@ -227,7 +225,7 @@ class ExtField:
                     row[j] = (row[j] + top * red[0][j]) % p
             red.append(tuple(row))
         self._red = red
-        self.kernel = ExtKernel(self) if ExtKernel.fits(p, k) else None
+        self.kernel = ExtKernel(self, wide=not ExtKernel.fits(p, k))
 
     def __repr__(self):
         return f"ExtField(p={self.p}, k={self.k})"
@@ -432,7 +430,7 @@ class PrimeKernel(_Kernel):
     ()): multiplication by a is the residue a itself.  It is the field's kernel
     while p < NP_MAX_P (``fits``): an unreduced product is below p^2 < 2^60,
     so the sums of three that unipoly's inverse-free Euclid forms stay inside
-    int64; larger primes keep the generic lane."""
+    int64; larger primes take the wide form, _WidePrimeKernel."""
 
     __slots__ = ()
 
@@ -467,7 +465,7 @@ class _WidePrimeKernel(PrimeKernel):
 
     def __init__(self, p: int):
         super().__init__(p)
-        self.work = object
+        self.lane, self.work = LANE_WIDE, object
 
     def product(self, m, b, out=None) -> np.ndarray:
         x = np.asarray(m).astype(object) * np.asarray(b).astype(object) % self.p
@@ -480,9 +478,9 @@ class ExtKernel(_Kernel):
 
     Multiplication by a is F_p-linear with matrix sum_i a_i Z_i, where Z_i is
     the matrix of multiplication by z^i.  Building that matrix and applying
-    it each sum k products of residues, so the kernel exists only when
+    it each sum k products of residues, so the int64 form runs only when
     (p - 1)^2 k < 2^62 (``fits``), and an unreduced product lies in [0,
-    2^62); larger fields keep the generic lane.
+    2^62); larger fields take the wide form (``wide``), on python ints.
     """
 
     __slots__ = ("k", "zflat", "modulus", "frobenius")
@@ -491,7 +489,7 @@ class ExtKernel(_Kernel):
     def fits(p: int, k: int) -> bool:
         return (p - 1) ** 2 * k < 1 << 62
 
-    def __init__(self, field: ExtField, wide: bool = False):
+    def __init__(self, field: ExtField, wide: bool):
         p, k = field.p, field.k
         # z^0 .. z^(2k-2) mod Phi, one per row
         zpow = np.zeros((2 * k - 1, k), dtype=np.int64)
@@ -501,8 +499,7 @@ class ExtKernel(_Kernel):
         # zstack[i, r, c] = coefficient r of z^(i + c); kept as (k, k * k)
         zstack = zpow[idx[:, None] + idx[None, :]].transpose(0, 2, 1)
         self.p, self.p_arr, self.k, self.shape, self.unit = p, np.array(p), k, (k,), zpow[0]
-        self.lane = LANE_FPK_KERNEL
-        self.work = object if wide else np.int64
+        self.lane, self.work = (LANE_WIDE, object) if wide else (LANE_FPK_KERNEL, np.int64)
         self.zflat = np.ascontiguousarray(zstack).reshape(k, k * k).astype(self.work)
         self.modulus, self.frobenius = field.modulus, None  # a -> a^p, built by the first conjugate
 
@@ -545,18 +542,6 @@ class ExtKernel(_Kernel):
 
 
 Field = PrimeField | ExtField
-
-
-def lane(field: Field) -> str:
-    """The name of the arithmetic lane field's vectors run on."""
-    return field.kernel.lane if field.kernel is not None else LANE_GENERIC
-
-
-def array_kernel(field: Field) -> _Kernel:
-    """field.kernel, or on the generic lane a wide kernel for field."""
-    if field.kernel is not None:
-        return field.kernel
-    return _WidePrimeKernel(field.p) if isinstance(field, PrimeField) else ExtKernel(field, wide=True)
 
 
 def nonzero(field: Field, a) -> np.ndarray:
@@ -668,7 +653,7 @@ def discrete_log_bounded(field: Field, omega, target, bound: int):
     """
     if bound < 0:
         raise InvalidInput("bound must be >= 0")
-    kern = array_kernel(field)
+    kern = field.kernel
     if not isinstance(target, np.ndarray):
         e = int(discrete_log_bounded(field, omega, kern.array([target]), bound)[0])
         if e < 0:

@@ -14,13 +14,14 @@ base row's recurrence raises LengthMismatch.
 
 The layers of one attempt share alpha and omega, so interpolate takes their
 grids as one int64 array (LayerGrids) and runs each step once for all of
-them on the field's array kernel: Berlekamp-Massey per layer, then one
+them on the field's kernel: Berlekamp-Massey per layer, then one
 find_roots over every layer's recurrence, one recurrence check over every
 row, one solve_transposed_vandermonde over every layer's rows, one
 discrete_log_bounded over every ratio, and one re-evaluation check.  That
-check evaluates each term's monomial at alpha, which must give back its
-node; with the solves and the recurrence check, the assembled polynomial
-then reproduces every row of its grid.  An EvalGrid is a batch of one.
+check evaluates each term's monomial at alpha (sparse._monomial_values),
+which must give back its node; with the solves and the recurrence check,
+the assembled polynomial then reproduces every row of its grid.  An
+EvalGrid is a batch of one.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, LengthMismatch, NotAPower, ReEvaluationFailed, RootDeficit, SingularSystem
-from .field import Field, array_kernel, discrete_log_bounded, elements, nonzero
-from .sparse import SparsePoly
+from .field import Field, discrete_log_bounded, elements, nonzero
+from .sparse import SparsePoly, _monomial_values
 # Not called here; perfbench/run.py wraps interp.eval_at_powers by name.
 from .sparse import eval_at_powers  # noqa: F401
 from .unipoly import berlekamp_massey, find_roots, solve_transposed_vandermonde
@@ -114,7 +115,7 @@ def interpolate(field: Field, grids, deg_bound: int, rng: random.Random | None =
     if isinstance(grids, EvalGrid):
         return interpolate(field, grids.batch(), deg_bound, rng)[0][0]
     rng = rng or random.Random(0)
-    kern, V, bounds = array_kernel(field), grids.values, grids.bounds
+    kern, V, bounds = field.kernel, grids.values, grids.bounds
     L, R = V.shape[:2]
     n, elt = R - 1, V.shape[3:]
     lams = [berlekamp_massey(field, elements(field, V[l, 0, : 2 * T])) for l, T in enumerate(bounds)]
@@ -164,10 +165,7 @@ def interpolate(field: Field, grids, deg_bound: int, rng: random.Random | None =
     live, nodes, real, C = live[on], nodes[on], real[on], C[on]
     E = np.swapaxes(exps[on], 1, 2)  # (layers, terms, n)
 
-    factors = kern.pow(kern.array(grids.alpha), E[real])
-    monomials = np.zeros(factors.shape[:1] + elt, dtype=np.int64) + kern.unit
-    for k in range(n):
-        monomials = kern.mul(monomials, factors[:, k])
+    monomials = _monomial_values(field, E[real], grids.alpha)
     match = np.ones(real.shape, dtype=bool)
     match[real] = ~nonzero(field, monomials - nodes[real])
     on = survivors(match.all(axis=1), lambda i: ReEvaluationFailed("assembled polynomial does not reproduce the base row"))

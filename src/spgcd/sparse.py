@@ -118,14 +118,9 @@ class SparsePoly:
         return f"SparsePoly({self.nvars}, {' + '.join(parts)})"
 
 
-def embed_poly(field: Field, f: SparsePoly) -> SparsePoly:
-    """Coerce coefficients into the given (possibly larger) field."""
-    return SparsePoly(f.nvars, tuple(_as_field_coeff(field, c) for c in f.coeffs), f.exps)
-
-
 def to_base_field(field: ExtField, f: SparsePoly) -> SparsePoly:
-    """Inverse of embed_poly; raises InvalidInput if any coefficient is not
-    in the prime subfield."""
+    """f with its coefficients taken back to the prime subfield; raises
+    InvalidInput if any coefficient lies outside it."""
     return SparsePoly(f.nvars, tuple(field.to_base(c) for c in f.coeffs), f.exps)
 
 
@@ -296,7 +291,8 @@ def undiversify(field: Field, f: SparsePoly, zeta) -> SparsePoly:
 
 
 def _monomial(field: Field, e, point):
-    """The monomial x^e at point, on the generic lane."""
+    """The monomial x^e at point, on field elements (one term's value, for
+    SparsePoly.evaluate and diversify)."""
     v = field.one
     for x, k in zip(point, e):
         if k:
@@ -304,77 +300,51 @@ def _monomial(field: Field, e, point):
     return v
 
 
-def _monomial_values(field: Field, exps, point):
-    """M_j(point) for every exponent vector, in term order.  On the field's
-    kernel: the powers of all coordinates for the whole exponent matrix at
-    once, then one product across its columns."""
+def _monomial_values(field: Field, exps, point) -> np.ndarray:
+    """M_j(point) for every exponent vector (the rows of exps), in term
+    order, as an int64 array on the field's kernel: the powers of all
+    coordinates for the whole exponent matrix at once, then one product
+    across its columns."""
     kern = field.kernel
-    if kern is not None and exps:
-        factors = kern.pow(kern.array(point), np.array(exps, dtype=np.int64))
-        out = kern.array([field.one] * len(exps))
-        for l in range(factors.shape[1]):
-            out = kern.mul(out, factors[:, l])
-        return out
-    return [_monomial(field, e, point) for e in exps]
+    factors = kern.pow(kern.array(point), np.array(exps, dtype=np.int64).reshape(len(exps), len(point)))
+    out = np.zeros((len(factors),) + kern.shape, dtype=np.int64) + kern.unit
+    for l in range(factors.shape[1]):
+        out = kern.mul(out, factors[:, l])
+    return out
 
 
 def eval_at_powers(field: Field, f: SparsePoly, alpha, count: int):
     """[f(alpha^1), ..., f(alpha^count)] where alpha^i is coordinatewise.
 
-    Each monomial is evaluated once; successive points reuse running powers,
-    so the total cost is O(count * #f) multiplications.
+    Each monomial is evaluated once; the running term values c_j M_j^i
+    advance by one batched product per point, so the total cost is
+    O(count * #f) multiplications.
     """
     if count < 1:
         raise InvalidInput("count must be >= 1")
-    if f.is_zero:
-        return [field.zero] * count
-    mvals = _monomial_values(field, f.exps, alpha)
     kern = field.kernel
-    if kern is not None:
-        # running term values c_j M_j^i, one batched product per point
-        mmats = kern.matrices(mvals)
-        running = kern.array([_as_field_coeff(field, c) for c in f.coeffs])
-        out = []
-        for _ in range(count):
-            running = kern.apply(mmats, running)
-            out.append(running.sum(axis=0) % field.p)
-        return elements(field, np.array(out))
-    running = [field.one] * len(mvals)
+    mmats = kern.matrices(_monomial_values(field, f.exps, alpha))
+    running = kern.array([_as_field_coeff(field, c) for c in f.coeffs])
     out = []
     for _ in range(count):
-        acc = field.zero
-        for j, m in enumerate(mvals):
-            running[j] = field.mul(running[j], m)
-            acc = field.add(acc, field.mul(f.coeffs[j], running[j]))
-        out.append(acc)
-    return out
+        running = kern.apply(mmats, running)
+        out.append(kern.sum(running, axis=0))
+    return elements(field, np.array(out))
 
 
 class PowerImageEvaluator:
     """Successive dense univariate images F(y, beta^i) of a homogenized
-    polynomial, i = 1, 2, ...; running term values make each image O(#F)
-    multiplications.  The monomial values M_j(beta) are computed once, and
-    grid reuses them for the sequences with one coordinate shifted.
-
-    On the field's kernel images are int64 arrays, (width,) over F_p and
-    (width, k) over F_{p^k}; the running values are the terms c_j M_j(beta)^i,
-    advanced by one batched product and summed by y-degree with one
-    reduceat.  Without a kernel (the generic lane) the evaluator keeps the
-    powers M_j^i and returns lists of field elements."""
+    polynomial, i = 1, 2, ..., on the field's kernel: int64 arrays, (width,)
+    over F_p and (width, k) over F_{p^k}.  The monomial values M_j(beta)
+    are computed once, and grid reuses them for the sequences with one
+    coordinate shifted.  The running values are the terms c_j M_j(beta)^i,
+    so each image is one batched product, O(#F) multiplications, and one
+    reduceat over the terms sorted by y-degree, summed in the kernel's work
+    type so that residues near 2^62 cannot overflow."""
 
     def __init__(self, field: Field, homo: HomoPoly, beta):
-        self.field = field
-        self.homo = homo
-        self.kernel = field.kernel
-        coeffs = [_as_field_coeff(field, c) for c in homo.source.coeffs]
-        mvals = _monomial_values(field, homo.source.exps, beta)
+        self.kernel = kern = field.kernel
         self.width = homo.max_ydeg + 1
-        if self.kernel is None:
-            self.mvals = mvals
-            self.coeffs = coeffs
-            self.ydegs = homo.ydegs
-            self.running = [field.one] * len(coeffs)
-            return
         # terms sorted by y-degree, so image[ydeg] is one reduceat segment
         ydegs = np.array(homo.ydegs, dtype=np.int64)
         order = np.argsort(ydegs, kind="stable")
@@ -382,13 +352,13 @@ class PowerImageEvaluator:
         self.starts = np.flatnonzero(np.r_[True, ydegs[1:] != ydegs[:-1]])
         self.segment_ydegs = ydegs[self.starts]
         self.exps = np.array(homo.source.exps, dtype=np.int64)[order]
-        self.mvals = self.kernel.matrices(mvals[order])
-        self.coeffs = self.kernel.array(coeffs)[order]
+        self.mvals = kern.matrices(_monomial_values(field, self.exps, beta))
+        self.coeffs = kern.array([_as_field_coeff(field, c) for c in homo.source.coeffs])[order]
         self.running = self.coeffs
 
     def _starts(self, omega):
         """Running values at i = 0 of the sequences with x_k -> omega * x_k,
-        one row per k (on the kernel): term j starts at c_j omega^(e_jk)."""
+        one row per k: term j starts at c_j omega^(e_jk)."""
         kern = self.kernel
         return kern.mul(self.coeffs, np.moveaxis(kern.pow(omega, self.exps), 1, 0))
 
@@ -397,36 +367,22 @@ class PowerImageEvaluator:
 
     def _images(self, running):
         """Images (rows, width[, k]) of running term values (rows, #F[, k])."""
-        sums = np.add.reduceat(running, self.starts, axis=1)
+        sums = np.add.reduceat(running.astype(self.kernel.work, copy=False), self.starts, axis=1)
         out = np.zeros((len(running), self.width) + running.shape[2:], dtype=np.int64)
-        out[:, self.segment_ydegs] = sums % self.field.p
+        out[:, self.segment_ydegs] = sums % self.kernel.p
         return out
 
-    def next_image(self):
+    def next_image(self) -> np.ndarray:
         """Image at the next power; dense vector of length max_ydeg + 1."""
-        if self.kernel is not None:
-            self.running = self._advance(self.running)
-            return self._images(self.running[None])[0]
-        f = self.field
-        buf = [f.zero] * self.width
-        for j, m in enumerate(self.mvals):
-            self.running[j] = f.mul(self.running[j], m)
-            buf[self.ydegs[j]] = f.add(buf[self.ydegs[j]], f.mul(self.coeffs[j], self.running[j]))
-        return buf
+        self.running = self._advance(self.running)
+        return self._images(self.running[None])[0]
 
-    def grid(self, count: int, omega):
+    def grid(self, count: int, omega) -> np.ndarray:
         """The images at i = 1..count of the unshifted sequence and then of
         each sequence with x_k -> omega * beta_k^i (omega not raised to i),
         k = 0..n-1, as one int64 array of (n + 1) * count rows, row-major by
         sequence: (rows, width) over F_p, (rows, width, k) over F_{p^k}.
         Independent of earlier next_image calls."""
-        if self.kernel is None:
-            field, exps = self.field, self.homo.source.exps
-            images = []
-            for k in range(-1, self.homo.nvars):
-                self.running = [field.one if k < 0 else field.pow_(omega, e[k]) for e in exps]
-                images.extend(self.next_image() for _ in range(count))
-            return np.array(images, dtype=np.int64)
         running = np.concatenate([self.coeffs[None], self._starts(omega)])
         out = np.empty((len(running), count, self.width) + running.shape[2:], dtype=np.int64)
         for i in range(count):

@@ -2,12 +2,12 @@
 
 Polynomials are coefficient vectors, low degree first, no trailing zeros:
 lists of field elements, or int64 arrays ((len,) over F_p, (len, k) over
-F_{p^k}).  The list routines (poly_mul, poly_divmod, poly_mulmod,
-poly_powmod, berlekamp_massey) take field elements.  monic_gcd, root
-finding and the transposed Vandermonde solve take one polynomial (or pair,
-or system), or a batch of them as int64 arrays, and run on the field's
-array kernel (``field.array_kernel``), so on every lane alike: the F_p and
-F_{p^k} kernels, and the wide kernels on python ints past their bounds.  A
+F_{p^k}).  The list routines (poly_mul, poly_divmod, monic,
+berlekamp_massey) take field elements.  monic_gcd, root finding and the
+transposed Vandermonde solve take one polynomial (or pair, or system), or a
+batch of them as int64 arrays, and run on the field's kernel
+(``field.kernel``), so on every lane alike: the F_p and F_{p^k} kernels,
+and the wide kernels on python ints past their bounds.  A
 batch of root findings shares one _Moduli, which keeps one row per
 polynomial, each its own modulus.
 
@@ -36,12 +36,11 @@ field elements, is the reference the tests compare with.
 from __future__ import annotations
 
 import random
-from functools import partial
 
 import numpy as np
 
 from .errors import DivisionByZero, InvalidInput, RootDeficit, SingularSystem
-from .field import ExtField, Field, array_kernel, elements, nonzero
+from .field import ExtField, Field, elements, nonzero
 
 _FFT_MAX_P = 1 << 24  # 8-bit digit split keeps FFT rounding below 1/4
 _FFT_MIN_SIZE = 24_000  # MAC count under which np.convolve wins
@@ -66,13 +65,6 @@ def _nonzero(c) -> bool:
     if isinstance(c, tuple):
         return any(c)
     return bool(c)
-
-
-def poly_eval(field: Field, f, x):
-    acc = field.zero
-    for c in reversed(list(f)):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
 
 
 def poly_mul(field: Field, a, b):
@@ -103,11 +95,6 @@ def poly_divmod(field: Field, a, b):
     return trim(q), trim(r[:db])
 
 
-def poly_mulmod(field: Field, a, b, f):
-    _, r = poly_divmod(field, poly_mul(field, a, b), f)
-    return r
-
-
 def _power(mul, one, base, e: int):
     """base^e by left-to-right square-and-multiply under the product mul,
     for base already reduced."""
@@ -121,10 +108,6 @@ def _power(mul, one, base, e: int):
     return result
 
 
-def poly_powmod(field: Field, a, e: int, f):
-    return _power(partial(poly_mulmod, field, f=f), [field.one], poly_divmod(field, a, f)[1], e)
-
-
 def monic(field: Field, f):
     f = trim(f if isinstance(f, list) else list(f))
     if not f:
@@ -134,7 +117,7 @@ def monic(field: Field, f):
 
 
 # ---------------------------------------------------------------------------
-# One Euclid for one pair or many, on the field's array kernel
+# One Euclid for one pair or many, on the field's kernel
 # ---------------------------------------------------------------------------
 
 
@@ -448,7 +431,7 @@ def monic_gcd(field: Field, u, v):
     the shared pass (those whose leading coefficients are nonzero and whose
     remainder degrees never left the batch's).  No pair of rows may be both
     zero."""
-    kern = array_kernel(field)
+    kern = field.kernel
     if isinstance(u, np.ndarray) and u.ndim == 2 + len(kern.shape):
         return _monic_gcd_rows(kern, u, v)
     g = _monic_gcd_alone(kern, kern.array(u) % field.p, kern.array(v) % field.p)
@@ -586,7 +569,7 @@ def find_roots(field: Field, f, rng: random.Random):
     the split rounds.
 
     Cantor-Zassenhaus (von zur Gathen & Gerhard, ch. 14) on all rows at
-    once, on the field's array kernel.  A linear row gives its root at once.
+    once, on the field's kernel.  A linear row gives its root at once.
     Each round takes c copies of every pending row f, each with its own
     delta, and raises w = (y + delta)^((q - 1)/2) mod f for all of them in
     one batched square-and-multiply (_Moduli).  Over F_{p^k}, (q - 1)/2 =
@@ -614,11 +597,11 @@ def find_roots(field: Field, f, rng: random.Random):
         f = trim(list(f))
         if not f:
             raise InvalidInput("zero polynomial")
-        roots, split, _ = find_roots(field, array_kernel(field).array(f)[None], rng)
+        roots, split, _ = find_roots(field, field.kernel.array(f)[None], rng)
         if not split[0]:
             raise RootDeficit(f"the degree-{len(f) - 1} polynomial does not split into distinct roots")
         return elements(field, roots[0, : len(f) - 1])
-    kern, p, q = array_kernel(field), field.p, field.order
+    kern, p, q = field.kernel, field.p, field.order
     F = np.asarray(f, dtype=np.int64) % p
     N, width, elt = len(F), F.shape[1], F.shape[2:]
     support = nonzero(field, F)
@@ -720,10 +703,10 @@ def solve_transposed_vandermonde(field: Field, nodes, values):
             return []
         if len(set(nodes)) != t or any(not _nonzero(m) for m in nodes):
             raise SingularSystem("nodes must be distinct and nonzero")
-        kern = array_kernel(field)
+        kern = field.kernel
         C = solve_transposed_vandermonde(field, kern.array(nodes)[None], kern.array(values[:t])[None, None])
         return elements(field, C[0, 0])
-    kern, p = array_kernel(field), field.p
+    kern, p = field.kernel, field.p
     L, t, elt = nodes.shape[0], nodes.shape[1], nodes.shape[2:]
     lift = (1,) * len(elt)
     real = nonzero(field, nodes)

@@ -1,4 +1,4 @@
-"""The batch form of monic_gcd against the generic lane's Euclid.
+"""The batch form of monic_gcd against the Euclid on field elements.
 
 Rows are built as g * a and g * b with one common g per batch, so at large p
 they follow one remainder degree sequence and run in lockstep.  Some rows get
@@ -21,15 +21,13 @@ from spgcd.engine import GcdConfig, gcd
 from spgcd.field import (
     LANE_FP_NUMPY,
     LANE_FPK_KERNEL,
-    LANE_GENERIC,
+    LANE_WIDE,
     ExtField,
     ExtKernel,
     PrimeField,
-    array_kernel,
     elements,
     find_irreducible,
     is_probable_prime,
-    lane,
 )
 from spgcd.instances import gen_triple
 from spgcd.sparse import lex_monic
@@ -107,7 +105,7 @@ def planted_row(field, kind, g, du, dv, rng):
 
 
 def as_rows(field, polys, width):
-    kern = array_kernel(field)
+    kern = field.kernel
     out = np.zeros((len(polys), width) + kern.shape, dtype=np.int64)
     for row, f in zip(out, polys):
         row[: len(f)] = kern.array(f)
@@ -249,12 +247,12 @@ def test_single_row_and_other_lanes():
     # p >= 2^30 runs on the wide kernel, in lockstep as on the numpy lane,
     # and planted rows leave it there too
     field, U, V = planted_batch(2**31 - 1, ["generic"] * 3, 3, 8, 5, seed=3)
-    assert lane(field) == LANE_GENERIC
+    assert field.kernel.lane == LANE_WIDE
     assert check_rows(field, U, V) == 3
     kinds = ["generic", "extra_factor", "lc_vanishes", "generic", "early_zero", "short_remainder"]
     for p in (largest_prime_below(FP_EDGE), first_prime_past(FP_EDGE)):
         field, U, V = planted_batch(p, kinds, 3, 8, 5, seed=4)
-        assert lane(field) == (LANE_FP_NUMPY if p < FP_EDGE else LANE_GENERIC)
+        assert field.kernel.lane == (LANE_FP_NUMPY if p < FP_EDGE else LANE_WIDE)
         assert check_rows(field, U, V) == 2
 
 
@@ -285,9 +283,9 @@ def test_one_row_with_a_wide_first_quotient(p):
     "p, k, kind",
     [
         (101, 3, LANE_FPK_KERNEL),
-        (2**31 - 1, 2, LANE_GENERIC),
+        (2**31 - 1, 2, LANE_WIDE),
         (largest_prime_below(EXT_EDGE + 1), 2, LANE_FPK_KERNEL),
-        (first_prime_past(EXT_EDGE), 2, LANE_GENERIC),
+        (first_prime_past(EXT_EDGE), 2, LANE_WIDE),
     ],
     ids=["kernel", "generic", "kernel-edge", "past-edge"],
 )
@@ -295,7 +293,7 @@ def test_batch_on_extension_lanes(p, k, kind):
     # F_{p^k} rows, on the kernel lane, at its bound and where it does not
     # fit: the generic rows run in lockstep, and each planted row leaves
     field = ext_field(p, k)
-    assert lane(field) == kind
+    assert field.kernel.lane == kind
     assert ExtKernel.fits(p, k) == (kind == LANE_FPK_KERNEL)
     kinds = ["generic", "extra_factor", "lc_vanishes", "generic", "early_zero", "short_remainder", "generic"]
     field, U, V = planted_batch(field, kinds, 3, 8, 6, seed=9)

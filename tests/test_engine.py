@@ -9,10 +9,9 @@ from spgcd.errors import InvalidInput
 from spgcd.field import (
     LANE_FP_NUMPY,
     LANE_FPK_KERNEL,
-    LANE_GENERIC,
+    LANE_WIDE,
     ExtField,
     PrimeField,
-    array_kernel,
     find_irreducible,
     find_primitive_root,
 )
@@ -125,7 +124,7 @@ class TestHankel:
         vals = t_sparse_sequence(field, t, random.Random(data.draw(st.integers(0, 2**32 - 1))))
         singular = [generic_singular(field, hankel(vals, s)) for s in range(1, t + 2)]
         assert singular[t] and not (t and singular[t - 1])
-        as_array = array_kernel(field).array(vals)  # the engine's form
+        as_array = field.kernel.array(vals)  # the engine's form
         assert [_hankel_singular(field, as_array, s) for s in range(1, t + 2)] == singular
         assert hankel_first_singular(field, vals, t + 1) == singular.index(True) + 1
 
@@ -135,7 +134,7 @@ class TestHankel:
         for t in range(6):
             vals = t_sparse_sequence(field, t, rng)
             assert hankel_first_singular(field, vals, t + 1) == t + 1
-            assert hankel_first_singular(field, array_kernel(field).array(vals), t + 1) == t + 1
+            assert hankel_first_singular(field, field.kernel.array(vals), t + 1) == t + 1
 
 
 class TestPrimitiveGcd:
@@ -371,7 +370,7 @@ class TestTrace:
         A, B, G = gen_triple(field, random.Random(2), 3, 6, 6)
         got, tr = gcd(field, A, B, GcdConfig(seed=4, omega=7, term_strategy="linear"))
         assert got == G and tr.retries == 0
-        assert tr.lanes["IV"] == tr.lanes["V"] == LANE_GENERIC
+        assert tr.lanes["IV"] == tr.lanes["V"] == LANE_WIDE
         assert tr.lockstep_rows == (3 + 1) * 2 * tr.term_bounds.global_T
         assert tr.fallback_rows == 0
 

@@ -1,9 +1,12 @@
-"""The F_p and F_{p^k} kernels against the generic lane at their int64 bounds.
+"""The F_p and F_{p^k} kernels against field-element arithmetic at their
+int64 bounds.
 
 The F_p kernel runs when p < 2^30 and the F_{p^k} kernel when
-(p - 1)^2 k < 2^62.  Each field below is either small (p in {2, 3}),
-mid-sized (p = 1000003) or the largest prime under its kernel's bound, where
-a missed reduction would overflow int64.
+(p - 1)^2 k < 2^62; past those bounds each field takes the wide kernel, on
+python ints.  Each field below is either small (p in {2, 3}), mid-sized (p =
+1000003) or the largest prime under its kernel's bound, where a missed
+reduction would overflow int64; test_monomial_values also takes p = 2^62 -
+57, the largest prime the fields accept, on the wide kernel.
 """
 
 import math
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 from spgcd.field import (
     LANE_FP_NUMPY,
     LANE_FPK_KERNEL,
-    LANE_GENERIC,
+    LANE_WIDE,
     NP_MAX_P,
     ExtField,
     ExtKernel,
@@ -25,10 +28,9 @@ from spgcd.field import (
     elements as field_elements,
     find_irreducible,
     is_probable_prime,
-    lane,
 )
 from spgcd.sparse import SparsePoly, _monomial_values, eval_at_powers
-from spgcd.unipoly import _generic_monic_gcd, monic_gcd, poly_divmod, poly_mul, poly_powmod, trim
+from spgcd.unipoly import _generic_monic_gcd, monic_gcd, poly_mul, trim
 
 DEGREES = (1, 2, 4)
 
@@ -59,6 +61,8 @@ def ext_field(p, k):
 FIELDS = [PrimeField(p) for p in (2, 3, 1000003, FP_EDGE[0])] + [
     ext_field(p, k) for k in DEGREES for p in (2, 3, 1000003, kernel_bound_primes(k)[0])
 ]
+P62 = 2**62 - 57  # the largest prime below 2^62
+WIDE_FIELDS = [PrimeField(P62), ext_field(P62, 2)]
 
 
 def elements(field):
@@ -70,31 +74,21 @@ def polys(field, max_len):
     return st.lists(elements(field), max_size=max_len)
 
 
-def reference_powmod(field, a, e, f):
-    result, base = [field.one], list(a)
-    while e:
-        if e & 1:
-            result = poly_divmod(field, poly_mul(field, result, base), f)[1]
-        base = poly_divmod(field, poly_mul(field, base, base), f)[1]
-        e >>= 1
-    return result
-
-
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
 
 def test_lane_follows_the_bound():
     inside, past = FP_EDGE
     assert PrimeKernel.fits(inside) and not PrimeKernel.fits(past)
-    assert lane(PrimeField(inside)) == LANE_FP_NUMPY
-    beyond = PrimeField(past)
-    assert beyond.kernel is None and lane(beyond) == LANE_GENERIC
+    assert PrimeField(inside).kernel.lane == LANE_FP_NUMPY
+    beyond = PrimeField(past).kernel
+    assert beyond.work is object and beyond.lane == LANE_WIDE
     for k in DEGREES:
         inside, past = kernel_bound_primes(k)
         assert ExtKernel.fits(inside, k) and not ExtKernel.fits(past, k)
-        assert lane(ext_field(inside, k)) == LANE_FPK_KERNEL
-        beyond = ext_field(past, k)
-        assert beyond.kernel is None and lane(beyond) == LANE_GENERIC
+        assert ext_field(inside, k).kernel.lane == LANE_FPK_KERNEL
+        beyond = ext_field(past, k).kernel
+        assert beyond.work is object and beyond.lane == LANE_WIDE
 
 
 @PROPERTY
@@ -111,7 +105,7 @@ def test_mul(data):
 @PROPERTY
 @given(st.data())
 def test_monomial_values(data):
-    field = data.draw(st.sampled_from(FIELDS))
+    field = data.draw(st.sampled_from(FIELDS + WIDE_FIELDS))
     n = data.draw(st.integers(1, 3))
     exps = data.draw(st.lists(st.tuples(*[st.integers(0, 12)] * n), min_size=1, max_size=6))
     point = data.draw(st.tuples(*[elements(field)] * n))
@@ -133,17 +127,6 @@ def test_monic_gcd(data):
     u, v = poly_mul(field, w, u), poly_mul(field, w, v)
     assume(trim(list(u)) or trim(list(v)))
     assert monic_gcd(field, u, v) == _generic_monic_gcd(field, u, v)
-
-
-@PROPERTY
-@given(st.data())
-def test_poly_powmod(data):
-    field = data.draw(st.sampled_from(FIELDS))
-    a = data.draw(polys(field, 6))
-    f = data.draw(polys(field, 6))
-    assume(len(trim(list(f))) >= 2)
-    e = data.draw(st.integers(0, 1 << 40))
-    assert poly_powmod(field, a, e, f) == reference_powmod(field, a, e, f)
 
 
 def test_huge_exponents_evaluate_in_little_memory():

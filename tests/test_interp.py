@@ -162,7 +162,7 @@ class TestProperty:
 
 # Fields at the lane thresholds, each with a shift element whose order
 # exceeds its exponent bound: F_2 and F_3 (bounds 0 and 1), the F_p numpy
-# lane up to 2^30 - 35, the generic lane at 2^31 - 1, an F_{p^k} kernel
+# lane up to 2^30 - 35, the wide F_p kernel at 2^31 - 1, an F_{p^k} kernel
 # field and an F_{p^k} field past ExtKernel.fits.
 F_WIDE = ExtField(2**31 - 1, find_irreducible(2**31 - 1, 2, random.Random(1)))
 BATCH_FIELDS = [

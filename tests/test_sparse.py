@@ -1,18 +1,16 @@
 import random
 
-import numpy as np
 import pytest
 
 from spgcd.errors import ZeroPolynomial, ZeroScale
 from spgcd.field import (
     LANE_FP_NUMPY,
     LANE_FPK_KERNEL,
-    LANE_GENERIC,
+    LANE_WIDE,
     ExtField,
     PrimeField,
     elements,
     find_irreducible,
-    lane,
 )
 from spgcd.instances import random_poly
 from spgcd.sparse import (
@@ -32,6 +30,7 @@ from spgcd.sparse import (
 F7 = PrimeField(7)
 F11 = PrimeField(11)
 FP = PrimeField(10000019)
+P62 = 2**62 - 57  # the largest prime below 2^62, where a sum of three residues can leave int64
 
 
 def poly(field, nvars, terms):
@@ -196,7 +195,7 @@ class TestEvalAtPowers:
 
     def test_matches_naive(self):
         rng = random.Random(5)
-        for field in (FP, F11):
+        for field in (FP, F11, PrimeField(P62)):  # the last sums on python ints
             for _ in range(10):
                 n = rng.randint(1, 3)
                 f = random_poly(field, rng, n, rng.randint(1, 7 if n == 1 else 8), 6)
@@ -215,7 +214,8 @@ def ext(p, k):
 
 # (field, lane): the F_p kernel at p = 3, at the standard prime and at the
 # largest prime below its bound 2^30; F_{(2^31-1)^2} is past the F_{p^k} kernel's
-# int64 bound (p - 1)^2 k < 2^62
+# int64 bound (p - 1)^2 k < 2^62, and at p = 2^62 - 57 an int64 sum of the
+# terms of one image would overflow
 EVALUATOR_FIELDS = [
     (FP, LANE_FP_NUMPY),
     (PrimeField(3), LANE_FP_NUMPY),
@@ -223,23 +223,23 @@ EVALUATOR_FIELDS = [
     (ext(1000003, 2), LANE_FPK_KERNEL),
     (ext(1000003, 3), LANE_FPK_KERNEL),
     (ext(1000003, 4), LANE_FPK_KERNEL),
-    (PrimeField(2**31 - 1), LANE_GENERIC),
-    (ext(2**31 - 1, 2), LANE_GENERIC),
+    (PrimeField(2**31 - 1), LANE_WIDE),
+    (ext(2**31 - 1, 2), LANE_WIDE),
+    (PrimeField(P62), LANE_WIDE),
+    (ext(P62, 2), LANE_WIDE),
 ]
-
-
-def image_elements(field, img):
-    """An image as a list of field elements, whatever its lane's type."""
-    return elements(field, np.array(img, dtype=np.int64))
 
 
 class TestPowerImageEvaluator:
     @pytest.mark.parametrize("field, lane_name", EVALUATOR_FIELDS, ids=str)
     def test_images_match_naive(self, field, lane_name):
-        assert lane(field) == lane_name
+        assert field.kernel.lane == lane_name
         rng = random.Random(12)
         n = 3
-        support = random_poly(F11, rng, n, 9, 6).exps
+        # plus seven terms of weighted degree 6: one y-layer whose sum at p
+        # near 2^62 leaves int64
+        layer = ((6, 0, 0), (4, 1, 0), (2, 2, 0), (0, 3, 0), (3, 0, 1), (1, 1, 1), (0, 0, 2))
+        support = random_poly(F11, rng, n, 9, 6).exps + layer
         f = SparsePoly.from_terms(field, n, [(field.rand_unit(rng), e) for e in support])
         homo = homogenize(f, (1, 2, 3))
         beta = tuple(field.rand_unit(rng) for _ in range(n))
@@ -256,13 +256,13 @@ class TestPowerImageEvaluator:
 
         ev = PowerImageEvaluator(field, homo, beta)
         for i in range(1, 5):
-            assert image_elements(field, ev.next_image()) == naive(i)
+            assert elements(field, ev.next_image()) == naive(i)
         # the grid: the unshifted row, then one row per shifted coordinate
         grid = ev.grid(4, omega)
         assert grid.shape[:2] == ((n + 1) * 4, homo.max_ydeg + 1)
         for row, k in enumerate([None] + list(range(n))):
             for i in range(1, 5):
-                assert image_elements(field, grid[4 * row + i - 1]) == naive(i, k)
+                assert elements(field, grid[4 * row + i - 1]) == naive(i, k)
 
 
 class TestLexMonic:

@@ -12,7 +12,6 @@ from spgcd.unipoly import (
     monic,
     monic_gcd,
     poly_divmod,
-    poly_eval,
     poly_mul,
     solve_transposed_vandermonde,
 )
@@ -133,18 +132,17 @@ class TestFindRoots:
     def test_linear(self):
         assert find_roots(F7, [1, 1], random.Random(0)) == [6]
 
-    def test_linear_skips_the_split_check(self, monkeypatch):
-        # a monic linear f has its root in the field: no x^q - x is needed
-        import spgcd.unipoly as unipoly_mod
-
-        def boom(*args, **kwargs):
-            raise AssertionError("poly_powmod called for a linear polynomial")
-
-        monkeypatch.setattr(unipoly_mod, "poly_powmod", boom)
-        assert find_roots(F101, [37, 1], random.Random(0)) == [101 - 37]
+    def test_linear_skips_the_split_check(self):
+        # a linear f has its root in the field: a batch of linear rows takes
+        # no split round
+        roots, split, rounds = find_roots(F101, np.array([[37, 1], [5, 3], [0, 7]]), random.Random(0))
+        assert rounds == 0 and split.all()
+        assert roots[:, 0].tolist() == [101 - 37, F101.mul(101 - 5, F101.inv(3)), 0]
         E = ExtField(5, (2, 0, 1))
         c = (3, 4)
-        assert find_roots(E, [c, E.one], random.Random(0)) == [E.neg(c)]
+        roots, split, rounds = find_roots(E, np.array([[c, E.one], [E.one, c]]), random.Random(0))
+        assert rounds == 0 and split.all()
+        assert [tuple(r) for r in roots[:, 0].tolist()] == [E.neg(c), E.neg(E.inv(c))]
 
     def test_quadratic(self):
         roots = find_roots(F7, [6, 2, 1], random.Random(0))
@@ -290,6 +288,3 @@ class TestEvalHelpers:
             while full and full[-1] == 0:
                 full.pop()
             assert full == (a if any(a) else [])
-
-    def test_eval(self):
-        assert poly_eval(F7, [1, 2, 3], 2) == (1 + 4 + 12) % 7
