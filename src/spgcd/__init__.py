@@ -8,13 +8,7 @@ Ben-Or/Tiwari interpolation driven by univariate GCD images.
 
 from .engine import GcdConfig, StageTrace, TermBounds, gcd, hankel_first_singular, primitive_gcd
 from .errors import GcdFailure, InterpolationError, InvalidInput, SpgcdError
-from .field import (
-    ExtField,
-    PrimeField,
-    discrete_log_bounded,
-    find_irreducible,
-    find_primitive_root,
-)
+from .field import ExtField, PrimeField, discrete_log_bounded, find_irreducible
 from .interp import EvalGrid, interpolate
 from .oracle import dense_gcd, divides_exactly, sparse_mul
 from .sparse import (
@@ -60,7 +54,6 @@ __all__ = [
     "divides_exactly",
     "eval_at_powers",
     "find_irreducible",
-    "find_primitive_root",
     "find_roots",
     "gcd",
     "hankel_first_singular",

@@ -11,8 +11,10 @@ which no proper divisor passes, and compares with the dense oracle when the
 instance fits its budget.
 
 --seed falls back to the SPGCD_SEED environment variable.  --omega pins the
-shift element (and keeps all arithmetic in the base field); it defaults to 6
-for the standard prime 10000019 and to automatic discovery otherwise.
+shift element, which needs multiplicative order > 2d (d the largest partial
+degree), and keeps all arithmetic in the base field; it defaults to 6 for the
+standard prime 10000019.  Otherwise the engine works in extension fields and
+draws a random shift element of order > 2d there.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ def _add_engine_flags(sub):
         "--omega",
         type=int,
         default=None,
-        help="primitive element override; keeps arithmetic in F_p "
-        "(default: 6 for p=10000019, otherwise auto-discover)",
+        help="shift element of multiplicative order > 2d; keeps arithmetic in F_p "
+        "(default: 6 for p=10000019, otherwise drawn in an extension field)",
     )
     sub.add_argument("--retries", type=int, default=3, help="retry budget")
     sub.add_argument(

@@ -5,8 +5,8 @@ Stage I    pick an isolating vector s so one input's homogenization has a
 Stage II   probe univariate GCD images at powers of a random point, each
            Hankel round's new images as one batch, and bound each y-layer's
            term count by its first singular Hankel matrix;
-Stage III  size the working field and pick the shift element omega and the
-           evaluation point alpha for the grid;
+Stage III  size the working field and draw the shift element omega, of
+           order > 2d, and the evaluation point alpha for the grid;
 Stage IV   evaluate the whole (n+1) x 2T grid as two arrays of image rows
            and take their monic univariate GCDs as one batch, scaled so
            every image is an exact evaluation of the target layers;
@@ -49,6 +49,7 @@ fresh randomness up to the configured limit.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -62,11 +63,13 @@ from .field import (
     Field,
     PrimeField,
     find_irreducible,
-    find_primitive_root,
     multiplicative_order_exceeds,
     nonzero,
     prod,
+    shift_element,
 )
+# Not called here; perfbench/run.py wraps engine.find_primitive_root by name.
+from .field import shift_element as find_primitive_root  # noqa: F401
 from .interp import LayerGrids, interpolate
 from .sparse import (
     PowerImageEvaluator,
@@ -92,9 +95,10 @@ class GcdConfig:
 
     term_strategy "doubling" doubles the Hankel probe size each round;
     "linear" grows it by one (cheaper when univariate GCDs dominate, the
-    benchmarking default).  Setting omega pins the shift element to a
-    primitive element of the base field and disables field extensions
-    entirely, trading the epsilon guarantee for speed on large base fields.
+    benchmarking default).  Setting omega pins the shift element to that
+    element of the base field, whose multiplicative order must exceed 2d,
+    and disables field extensions entirely, trading the epsilon guarantee
+    for speed on large base fields.
     """
 
     epsilon: float = 1e-3
@@ -208,9 +212,15 @@ def _degrees(support) -> np.ndarray:
 
 
 def _scale_rows(field, X, scales) -> np.ndarray:
-    """Row i of the int64 array X times scales[i], as an int64 array."""
-    kern = field.kernel
-    return kern.mul(kern.array(scales)[:, None], X)
+    """Row i of the int64 array X times the element scales[i]."""
+    return field.kernel.mul(scales[:, None], X)
+
+
+@functools.lru_cache(maxsize=64)
+def _extension(p: int, k: int) -> ExtField:
+    """F_{p^k} on a modulus fixed by (p, k), so that each field, with its
+    kernel's matrices, is built once per process."""
+    return ExtField(p, find_irreducible(p, k, random.Random(k)))
 
 
 class _ImageStream:
@@ -226,7 +236,7 @@ class _ImageStream:
         self.top1 = homo1.max_ydeg
         self.top2 = homo2.max_ydeg
         self.scale_step = field.pow_(prod(field, point), d)
-        self.scale = field.one
+        self.scale = field.kernel.unit  # the scale of the last image taken
         self.images = []
         self.gcd_degree = None
 
@@ -246,10 +256,9 @@ class _ImageStream:
                 self.gcd_degree = int(degrees[0])
             if np.any(degrees != self.gcd_degree):
                 raise _StageFailure("II", "image degree disagreement")
-            scales = []
-            for _ in range(good):
-                self.scale = field.mul(self.scale, self.scale_step)
-                scales.append(self.scale)
+            kern = field.kernel
+            scales = kern.mul(self.scale, kern.powers(self.scale_step, good)[1:])
+            self.scale = scales[-1]
             self.images.extend(_scale_rows(field, G, scales))
         if good < new:
             raise _StageFailure("II", "leading coefficient vanished")
@@ -317,7 +326,7 @@ def _run_primitive(field: PrimeField, A, B, cfg: GcdConfig, rng, trace: StageTra
     trace.r = r
     ext2_deg = 1 if cfg.omega is not None else k1 * r
     trace.ext2_degree = ext2_deg
-    E2 = field if ext2_deg == 1 else ExtField(p, find_irreducible(p, ext2_deg, rng))
+    E2 = field if ext2_deg == 1 else _extension(p, ext2_deg)
     sigma = tuple(E2.rand_unit(rng) for _ in range(n))
     trace.sigma = sigma
     stream = _ImageStream(E2, homo1, homo2, sigma, d)
@@ -356,11 +365,8 @@ def _run_primitive(field: PrimeField, A, B, cfg: GcdConfig, rng, trace: StageTra
     trace.m = m
     ext3_deg = 1 if cfg.omega is not None else k1 * m
     trace.ext3_degree = ext3_deg
-    E3 = field if ext3_deg == 1 else ExtField(p, find_irreducible(p, ext3_deg, rng))
-    if cfg.omega is not None:
-        omega = cfg.omega % p
-    else:
-        omega = find_primitive_root(E3, rng)
+    E3 = field if ext3_deg == 1 else _extension(p, ext3_deg)
+    omega = cfg.omega % p if cfg.omega is not None else shift_element(E3, 2 * d, rng)
     trace.omega = omega
     alpha = tuple(E3.rand_unit(rng) for _ in range(n))
     trace.alpha = alpha
@@ -388,12 +394,10 @@ def _run_primitive(field: PrimeField, A, B, cfg: GcdConfig, rng, trace: StageTra
     if support.any():
         raise _StageFailure("IV", "image support outside Stage II layers")
     # point i of row 0 scales by (prod alpha)^(i d), of row k + 1 also by omega^d
-    step = E3.pow_(prod(E3, alpha), d)
-    scales = [step]
-    for _ in range(count - 1):
-        scales.append(E3.mul(scales[-1], step))
-    omega_d = E3.pow_(omega, d)
-    scales += [E3.mul(omega_d, s) for s in scales] * n
+    kern = E3.kernel
+    scales = kern.powers(E3.pow_(prod(E3, alpha), d), count)[1:]
+    shifted = kern.mul(E3.pow_(omega, d), scales)
+    scales = np.concatenate([scales] + [shifted] * n)
     values = _scale_rows(E3, G[:, list(layer_ydegs)], scales)
     # (grid row, point, layer) -> (layer, grid row, point)
     values = np.moveaxis(values.reshape((n + 1, count) + values.shape[1:]), 2, 0)
@@ -512,7 +516,7 @@ def check_gcd_image(field: PrimeField, A: SparsePoly, B: SparsePoly, G: SparsePo
         k = 2
         while rate > epsilon * (field.p**k - 1):
             k += 1
-    E = field if k == 1 else ExtField(field.p, find_irreducible(field.p, k, rng))
+    E = field if k == 1 else _extension(field.p, k)
     b = rate / (E.order - 1)
     r = max(1, math.ceil(math.log(epsilon) / math.log(b)))
     for i in range(1, r + 1):

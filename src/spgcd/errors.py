@@ -21,10 +21,6 @@ class ZeroScale(SpgcdError):
     """Diversification vector contains a zero coordinate."""
 
 
-class FactorizationBudgetExceeded(SpgcdError):
-    """p^k - 1 resisted the factoring budget; supply a primitive element."""
-
-
 class BudgetExceeded(SpgcdError):
     """Instance too large for the dense oracle."""
 

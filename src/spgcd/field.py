@@ -1,4 +1,4 @@
-"""Prime fields F_p, extensions F_{p^k}, primitive elements, bounded discrete logs.
+"""Prime fields F_p, extensions F_{p^k}, shift elements, bounded discrete logs.
 
 Elements of F_p are plain ints in [0, p); elements of F_{p^k} are k-tuples of
 ints (coefficients of the residue polynomial, low degree first).  Fields are
@@ -22,12 +22,7 @@ import random
 
 import numpy as np
 
-from .errors import (
-    DivisionByZero,
-    FactorizationBudgetExceeded,
-    InvalidInput,
-    NotAPower,
-)
+from .errors import DivisionByZero, InvalidInput, NotAPower
 
 MAX_MODULUS = 1 << 62  # products of two residues must fit double-width integers
 NP_MAX_P = 1 << 30  # F_p numpy lane: two scaled subtractions must stay inside int64
@@ -65,72 +60,18 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int, rng: random.Random, max_iters: int) -> int | None:
-    """One Brent-style rho round; returns a nontrivial factor or None."""
-    if n % 2 == 0:
-        return 2
-    y = rng.randrange(1, n)
-    c = rng.randrange(1, n)
-    m = 128
-    g = r = q = 1
-    x = ys = y
-    it = 0
-    while g == 1:
-        x = y
-        for _ in range(r):
-            y = (y * y + c) % n
-        k = 0
-        while k < r and g == 1:
-            ys = y
-            for _ in range(min(m, r - k)):
-                y = (y * y + c) % n
-                q = q * abs(x - y) % n
-            g = math.gcd(q, n)
-            k += m
-            it += r
-            if it > max_iters:
-                return None
-        r *= 2
-    if g == n:
-        while True:
-            ys = (ys * ys + c) % n
-            g = math.gcd(abs(x - ys), n)
-            if g > 1:
-                break
-    return g if g != n else None
-
-
-def factorize(n: int, rng: random.Random | None = None, rho_iters: int = 2_000_000) -> dict[int, int]:
-    """Prime factorization via trial division to 10^6 then Pollard rho.
-
-    Raises FactorizationBudgetExceeded when a composite cofactor survives the
-    rho iteration budget.
-    """
-    rng = rng or random.Random(0xF0)
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization by trial division, for the small n (extension
+    degrees) that Rabin's test takes."""
     fac: dict[int, int] = {}
-    for q in range(2, 1_000_001):
-        if q * q > n:
-            break
+    q = 2
+    while q * q <= n:
         while n % q == 0:
             fac[q] = fac.get(q, 0) + 1
             n //= q
-    if n == 1:
-        return fac
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if is_probable_prime(m):
-            fac[m] = fac.get(m, 0) + 1
-            continue
-        g = None
-        for _ in range(6):
-            g = _pollard_rho(m, rng, rho_iters)
-            if g is not None:
-                break
-        if g is None:
-            raise FactorizationBudgetExceeded(f"cannot factor {m}")
-        stack.append(g)
-        stack.append(m // g)
+        q += 1
+    if n > 1:
+        fac[n] = fac.get(n, 0) + 1
     return fac
 
 
@@ -605,42 +546,25 @@ def find_irreducible(p: int, k: int, rng: random.Random) -> tuple:
             return cand
 
 
-def find_primitive_root(field: Field, rng: random.Random | None = None):
-    """Element of multiplicative order field.order - 1.
+def multiplicative_order_exceeds(field: Field, g, bound: int) -> bool:
+    """True iff ord(g) > bound: g^j != 1 for j = 1..bound, read from one
+    power table on the field's kernel (True for bound 0)."""
+    kern = field.kernel
+    return bool(nonzero(field, kern.powers(g, bound)[1:] - kern.unit).all())
 
-    Prime fields are searched deterministically from 2 upward; extensions use
-    random candidates.  Raises FactorizationBudgetExceeded when field.order - 1
-    cannot be factored within budget.
-    """
-    n = field.order - 1
-    if n == 1:
-        return field.one
-    fac = factorize(n, rng)
-    exps = [n // r for r in fac]
 
-    def is_primitive(g):
-        return all(field.pow_(g, e) != field.one for e in exps)
-
-    if isinstance(field, PrimeField):
-        for g in range(2, field.p):
-            if is_primitive(g):
-                return g
-        raise InvalidInput("no primitive root found (modulus not prime?)")
-    rng = rng or random.Random(0x9E)
+def shift_element(field: Field, bound: int, rng: random.Random):
+    """A random unit of multiplicative order > bound, which is all that
+    shared-node interpolation asks of omega (see interp): exponents up to
+    bound are then unique discrete logs.  A random unit of F_q fails with
+    probability at most bound^2 / (q - 1), so the first draw almost always
+    passes once q - 1 is large against bound."""
+    if field.order - 1 <= bound:
+        raise InvalidInput(f"no unit of F_{field.order} has order > {bound}")
     while True:
         g = field.rand_unit(rng)
-        if is_primitive(g):
+        if multiplicative_order_exceeds(field, g, bound):
             return g
-
-
-def multiplicative_order_exceeds(field: Field, g, bound: int) -> bool:
-    """True iff ord(g) > bound; linear scan, intended for small bounds."""
-    acc = g
-    for _ in range(bound):
-        if acc == field.one:
-            return False
-        acc = field.mul(acc, g)
-    return True
 
 
 def discrete_log_bounded(field: Field, omega, target, bound: int):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spgcd.engine import GcdConfig, _hankel_singular, gcd, hankel_first_singular, primitive_gcd
+from spgcd.engine import GcdConfig, _extension, _hankel_singular, gcd, hankel_first_singular, primitive_gcd
 from spgcd.errors import InvalidInput
 from spgcd.field import (
     LANE_FP_NUMPY,
@@ -13,7 +13,6 @@ from spgcd.field import (
     ExtField,
     PrimeField,
     find_irreducible,
-    find_primitive_root,
 )
 from spgcd.instances import gen_triple, random_poly
 from spgcd.oracle import dense_gcd, divides_exactly, sparse_mul
@@ -84,9 +83,10 @@ def poly(field, nvars, terms):
 
 def bad_point_stream(p, count):
     """(trial, field, omega, A, B) for planted instances over a small prime,
-    where bad evaluation points are common."""
+    where bad evaluation points are common; omega = 2 generates F_61 and
+    F_211."""
     field = PrimeField(p)
-    omega = find_primitive_root(field)
+    omega = 2
     rng = random.Random(77)
     for trial in range(count):
         n = rng.randint(2, 3)
@@ -284,6 +284,17 @@ class TestGcdWrapper:
                 got, _ = gcd(F, A, B, GcdConfig(seed=trial))
                 assert got == dense_gcd(F, A, B), (p, trial)
 
+    @pytest.mark.parametrize("epsilon", [1e-15, 1e-30])
+    def test_guaranteed_path_at_the_int64_bound(self, epsilon):
+        # at p = 2^62 - 57 a tight epsilon asks for F_(p^2) or F_(p^3),
+        # whose unit groups' orders resist factoring: omega needs only an
+        # order above 2d, which one power table shows
+        field = PrimeField(2**62 - 57)
+        A, B, G = gen_triple(field, random.Random(1), 6, 30, 30)
+        got, tr = gcd(field, A, B, GcdConfig(seed=1, epsilon=epsilon))
+        assert got == G
+        assert tr.ext3_degree > 1
+
     def test_output_divides_inputs(self):
         rng = random.Random(3)
         for trial in range(10):
@@ -383,6 +394,10 @@ class TestTrace:
         assert tr.ext2_degree > 1 and tr.ext3_degree > 1
         assert tr.lanes == {"II": LANE_FPK_KERNEL, "IV": LANE_FPK_KERNEL, "V": LANE_FPK_KERNEL}
         assert tr.retries == 0
+        # shared-node interpolation needs ord(omega) > 2d in Stage III's field
+        d = max(max(monomial_primitive(f).partial_degrees()) for f in (A, B))
+        E3 = _extension(field.p, tr.ext3_degree)
+        assert all(E3.pow_(tr.omega, j) != E3.one for j in range(1, 2 * d + 1))
         assert tr.lockstep_rows == (4 + 1) * 2 * tr.term_bounds.global_T
         assert tr.fallback_rows == 0
 

@@ -1,17 +1,18 @@
+import itertools
 import random
 
 import pytest
 
-from spgcd.errors import DivisionByZero, FactorizationBudgetExceeded, NotAPower
+from spgcd.errors import DivisionByZero, InvalidInput, NotAPower
 from spgcd.field import (
     ExtField,
     PrimeField,
     discrete_log_bounded,
     factorize,
     find_irreducible,
-    find_primitive_root,
     is_irreducible,
     multiplicative_order_exceeds,
+    shift_element,
 )
 
 
@@ -125,23 +126,53 @@ class TestIrreducible:
             assert found == want, (p, k)
 
 
+def order_exceeds_by_scan(field, g, bound):
+    """ord(g) > bound, by scanning field.pow_ (the reference)."""
+    return all(field.pow_(g, j) != field.one for j in range(1, bound + 1))
+
+
+def order_by_scan(field, g):
+    j, acc = 1, g
+    while acc != field.one:
+        j, acc = j + 1, field.mul(acc, g)
+    return j
+
+
+F_WIDE = ExtField(2**31 - 1, find_irreducible(2**31 - 1, 2, random.Random(1)))
+
+
+def units_to_check(field):
+    """Every unit of a small field; for F_WIDE, units of orders m = 1, 2,
+    42, 62, 64 and 151, as g^((q - 1)/m) for a generator g of F_WIDE^*,
+    where q - 1 = (p - 1)(p + 1) = 2^32 3^2 7 11 31 151 331."""
+    if field.k == 1:
+        return list(range(1, field.p))
+    if field is not F_WIDE:
+        return [x for x in itertools.product(range(field.p), repeat=field.k) if any(x)]
+    n, rng = F_WIDE.order - 1, random.Random(8)
+    g = F_WIDE.rand_unit(rng)
+    while any(F_WIDE.pow_(g, n // r) == F_WIDE.one for r in (2, 3, 7, 11, 31, 151, 331)):
+        g = F_WIDE.rand_unit(rng)
+    return [F_WIDE.pow_(g, n // m) for m in (1, 2, 42, 62, 64, 151)]
+
+
+class TestOrderCheck:
+    @pytest.mark.parametrize(
+        "field", [PrimeField(2), PrimeField(3), PrimeField(7), ExtField(5, (2, 0, 1)), F_WIDE], ids=repr
+    )
+    def test_kernel_table_matches_pow_scan(self, field):
+        for g in units_to_check(field):
+            order = order_by_scan(field, g)
+            for bound in range(order + 2):
+                assert multiplicative_order_exceeds(field, g, bound) == order_exceeds_by_scan(field, g, bound), (g, bound)
+
+
 class TestPrimitiveRoot:
-    def test_f7(self):
-        assert find_primitive_root(PrimeField(7)) == 3
-
-    def test_f2(self):
-        assert find_primitive_root(PrimeField(2)) == 1
-
     def test_standard_prime_accepts_6(self):
+        # the CLI's default shift element at p = 10000019 generates F_p^*
         F = PrimeField(10000019)
         fac = factorize(F.p - 1)
         assert all(F.pow_(6, (F.p - 1) // r) != 1 for r in fac)
-
-    def test_extension_field(self):
-        E = ExtField(7, (1, 0, 1))
-        w = find_primitive_root(E, random.Random(5))
-        for r in (2, 3):  # 48 = 2^4 * 3
-            assert E.pow_(w, 48 // r) != E.one
 
     def test_order_check_helper(self):
         F = PrimeField(7)
@@ -149,15 +180,32 @@ class TestPrimitiveRoot:
         assert not multiplicative_order_exceeds(F, 2, 5)  # ord(2) = 3
 
 
+class TestShiftElement:
+    def test_f7(self):
+        # only the generators 3 and 5 have order > 5
+        rng = random.Random(0)
+        assert {shift_element(PrimeField(7), 5, rng) for _ in range(20)} == {3, 5}
+
+    def test_f2(self):
+        assert shift_element(PrimeField(2), 0, random.Random(0)) == 1
+
+    def test_extension_field(self):
+        rng = random.Random(5)
+        for field, bound in ((ExtField(7, (1, 0, 1)), 47), (ExtField(7, (1, 0, 1)), 20), (F_WIDE, 60)):
+            for _ in range(5):
+                assert order_exceeds_by_scan(field, shift_element(field, bound, rng), bound), (field, bound)
+
+    def test_rejects_a_bound_no_unit_exceeds(self):
+        with pytest.raises(InvalidInput):
+            shift_element(PrimeField(7), 6, random.Random(0))
+        with pytest.raises(InvalidInput):
+            shift_element(ExtField(2, (1, 1, 1)), 3, random.Random(0))
+
+
 class TestFactorize:
     def test_small(self):
         assert factorize(360) == {2: 3, 3: 2, 5: 1}
         assert factorize(10000018) == {2: 1, 7: 2, 67: 1, 1523: 1}
-
-    def test_budget(self):
-        n = 1000003 * 1000033 * 1000037 * 1000039
-        with pytest.raises(FactorizationBudgetExceeded):
-            factorize(n * (n + 8), rho_iters=1)
 
 
 class TestDiscreteLog:
@@ -170,12 +218,12 @@ class TestDiscreteLog:
 
     def test_exhaustive_small_bound(self):
         F = PrimeField(2003)
-        omega = find_primitive_root(F)
+        omega = 5  # a generator of F_2003
         for e in range(0, 1001, 7):
             assert discrete_log_bounded(F, omega, F.pow_(omega, e), 1000) == e
 
     def test_extension_field(self):
         E = ExtField(5, (2, 0, 1))
-        w = find_primitive_root(E, random.Random(6))
+        w = shift_element(E, 20, random.Random(6))
         for e in (0, 1, 5, 17):
             assert discrete_log_bounded(E, w, E.pow_(w, e), 20) == e

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spgcd.errors import InterpolationError, LengthMismatch, NotAPower, RootDeficit
-from spgcd.field import ExtField, PrimeField, find_irreducible, find_primitive_root, multiplicative_order_exceeds
+from spgcd.field import ExtField, PrimeField, find_irreducible, shift_element
 from spgcd.instances import random_poly
 from spgcd.interp import EvalGrid, LayerGrids, interpolate
 from spgcd.sparse import SparsePoly, diversify, eval_at_powers
@@ -15,8 +15,8 @@ F7 = PrimeField(7)
 FP = PrimeField(10000019)
 F343 = ExtField(7, find_irreducible(7, 3, random.Random(0)))
 # (field, omega) with ord(omega) > MAX_DEG, so exponents up to MAX_DEG are unique
-LANES = [(PrimeField(101), 2), (FP, 6), (F343, find_primitive_root(F343, random.Random(0)))]
 MAX_DEG = 8
+LANES = [(PrimeField(101), 2), (FP, 6), (F343, shift_element(F343, MAX_DEG, random.Random(0)))]
 
 
 def grid_for(field, f, alpha, omega, T):
@@ -174,13 +174,6 @@ BATCH_FIELDS = [
     (F343, 8),
     (F_WIDE, 8),
 ]
-
-
-def shift_element(field, bound, rng):
-    while True:
-        omega = field.rand_unit(rng)
-        if multiplicative_order_exceeds(field, omega, bound):
-            return omega
 
 
 def planted_layer(field, rng, alpha, bound, terms):
