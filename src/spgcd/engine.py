@@ -82,7 +82,6 @@ from .sparse import (
     monomial_gcd,
     monomial_primitive,
     shift_exponents,
-    to_base_field,
 )
 # Not called here; perfbench/run.py wraps engine.diversify and engine.undiversify by name.
 from .sparse import diversify, undiversify  # noqa: F401
@@ -304,11 +303,11 @@ def _stage3_m(eps: float, n: int, d: int, T: int, log_q1: float) -> int:
     return max(1, math.ceil(num / log_q1))
 
 
-def _run_primitive(field: PrimeField, A, B, cfg: GcdConfig, rng, trace: StageTrace):
+def _run_primitive(field: PrimeField, A, B, d: int, D: int, cfg: GcdConfig, rng, trace: StageTrace):
+    """One attempt on inputs with largest partial degree d and largest total
+    degree D."""
     n = A.nvars
     p = field.p
-    d = max(max(A.partial_degrees()), max(B.partial_degrees()))
-    D = max(A.total_degree(), B.total_degree())
     term_cap = (d + 1) ** n
 
     t0 = time.perf_counter()
@@ -420,19 +419,14 @@ def _run_primitive(field: PrimeField, A, B, cfg: GcdConfig, rng, trace: StageTra
     total = add_polys(E3, layers)
     result = lex_monic(E3, monomial_primitive(total))
     if isinstance(E3, ExtField):
-        try:
-            result = to_base_field(E3, result)
-        except InvalidInput as exc:
-            raise _StageFailure("VI", "coefficients left the base field") from exc
-    else:
-        result = SparsePoly(n, tuple(int(c) for c in result.coeffs), result.exps)
+        if result.coeffs[:, 1:].any():
+            raise _StageFailure("VI", "coefficients left the base field")
+        result = SparsePoly(n, result.coeffs[:, 0], result.exps)
     trace.timings["VI"] = trace.timings.get("VI", 0.0) + time.perf_counter() - t0
     return result
 
 
-def primitive_gcd(field: PrimeField, A: SparsePoly, B: SparsePoly, cfg: GcdConfig | None = None):
-    """GCD of monomial-primitive inputs, lex-monic, correct with probability
-    >= 1 - epsilon; raises GcdFailure after the retry budget is spent."""
+def _check_inputs(field, A: SparsePoly, B: SparsePoly, cfg: GcdConfig | None) -> GcdConfig:
     cfg = cfg or GcdConfig()
     cfg.validate()
     if not isinstance(field, PrimeField):
@@ -441,14 +435,29 @@ def primitive_gcd(field: PrimeField, A: SparsePoly, B: SparsePoly, cfg: GcdConfi
         raise InvalidInput("inputs must be nonzero")
     if A.nvars != B.nvars:
         raise InvalidInput("inputs disagree on the number of variables")
+    return cfg
+
+
+def primitive_gcd(field: PrimeField, A: SparsePoly, B: SparsePoly, cfg: GcdConfig | None = None):
+    """GCD of monomial-primitive inputs, lex-monic, correct with probability
+    >= 1 - epsilon; raises GcdFailure after the retry budget is spent."""
+    cfg = _check_inputs(field, A, B, cfg)
     if any(monomial_content(A)) or any(monomial_content(B)):
         raise InvalidInput("inputs must be monomial-primitive")
+    return _primitive_gcd(field, A, B, cfg)
+
+
+def _primitive_gcd(field: PrimeField, A: SparsePoly, B: SparsePoly, cfg: GcdConfig):
+    """primitive_gcd on checked inputs: the degrees are read once here and
+    passed to every attempt."""
     trace = StageTrace()
-    n = A.nvars
-    if A.total_degree() == 0 or B.total_degree() == 0:
-        return SparsePoly.constant(field, n, field.one), trace
-    d = max(max(A.partial_degrees()), max(B.partial_degrees()))
+    degrees = (A.total_degree(), B.total_degree())
+    if min(degrees) == 0:
+        return SparsePoly.constant(field, A.nvars, field.one), trace
+    d = max(A.partial_degrees() + B.partial_degrees())
     if cfg.omega is not None:
+        if cfg.omega % field.p == 0:
+            raise InvalidInput("explicit omega must be a unit mod p")
         if not multiplicative_order_exceeds(field, cfg.omega % field.p, 2 * d):
             raise InvalidInput(
                 "explicit omega must have multiplicative order > 2*d; "
@@ -459,7 +468,7 @@ def primitive_gcd(field: PrimeField, A: SparsePoly, B: SparsePoly, cfg: GcdConfi
     for attempt in range(cfg.max_retries + 1):
         trace.retries = attempt
         try:
-            return _run_primitive(field, A, B, cfg, rng, trace), trace
+            return _run_primitive(field, A, B, d, max(degrees), cfg, rng, trace), trace
         except _StageFailure as exc:
             trace.failures.append(f"{exc.stage}: {exc.cause}")
             last = exc
@@ -469,16 +478,18 @@ def primitive_gcd(field: PrimeField, A: SparsePoly, B: SparsePoly, cfg: GcdConfi
 def gcd(field: PrimeField, A: SparsePoly, B: SparsePoly, cfg: GcdConfig | None = None):
     """gcd(A, B) with the monomial content split off first (both parts of the
     answer come back multiplied together, lex-monic)."""
-    cfg = cfg or GcdConfig()
     if A.is_zero and B.is_zero:
         raise InvalidInput("gcd(0, 0) undefined")
     if A.is_zero:
         return lex_monic(field, B), StageTrace()
     if B.is_zero:
         return lex_monic(field, A), StageTrace()
-    cont_gcd = monomial_gcd(monomial_content(A), monomial_content(B))
-    prim_gcd, trace = primitive_gcd(field, monomial_primitive(A), monomial_primitive(B), cfg)
-    return shift_exponents(prim_gcd, cont_gcd), trace
+    cfg = _check_inputs(field, A, B, cfg)
+    cont_a, cont_b = monomial_content(A), monomial_content(B)
+    A = shift_exponents(A, [-e for e in cont_a])
+    B = shift_exponents(B, [-e for e in cont_b])
+    prim_gcd, trace = _primitive_gcd(field, A, B, cfg)
+    return shift_exponents(prim_gcd, monomial_gcd(cont_a, cont_b)), trace
 
 
 def check_gcd_image(field: PrimeField, A: SparsePoly, B: SparsePoly, G: SparsePoly, epsilon: float, rng):

@@ -171,7 +171,7 @@ def interpolate(field: Field, grids, deg_bound: int, rng: random.Random | None =
     on = survivors(match.all(axis=1), lambda i: ReEvaluationFailed("assembled polynomial does not reproduce the base row"))
     for l, c, e in zip(live[on], C[on], E[on]):
         t = ts[l]
-        polys[l] = SparsePoly.from_terms(field, n, zip(elements(field, c[0, :t]), map(tuple, e[:t].tolist())))
+        polys[l] = SparsePoly.from_arrays(field, e[:t], c[0, :t])
     if errors:
         l = min(errors)
         exc = errors[l]

@@ -427,7 +427,7 @@ def divides_exactly(field, G: SparsePoly, A: SparsePoly):
         return SparsePoly.zero(A.nvars)
     lead = G.leading_exp
     lc_inv = field.inv(G.lc)
-    rem = dict(zip(A.exps, A.coeffs))
+    rem = {e: c for c, e in A.terms()}
     heap = [tuple(-x for x in e) for e in rem]
     heapq.heapify(heap)
     quot: dict = {}

@@ -1,8 +1,11 @@
 """Sparse multivariate polynomials and the pipeline's structural transforms.
 
-Terms are kept in lexicographically increasing exponent order, so the last
-term is the leading term and its coefficient the leading coefficient.
-Monomials appear as bare exponent tuples throughout.
+A polynomial is two read-only int64 arrays built once, at construction: a
+(terms, n) exponent matrix whose rows are in lexicographically increasing
+order, and the coefficients, (terms,) over F_p and (terms, k) over F_{p^k},
+none zero.  The last row is the leading term and its coefficient the leading
+coefficient.  Every whole-polynomial transform is array work on them;
+terms() gives the terms back as python ints and tuples.
 """
 
 from __future__ import annotations
@@ -12,26 +15,35 @@ import random
 import numpy as np
 
 from .errors import InvalidInput, SpgcdError, ZeroPolynomial, ZeroScale
-from .field import ExtField, Field, PrimeField, elements
+from .field import ExtField, Field, elements, nonzero
+
+EXP_LIMIT = 1 << 62  # exponents lie in [0, EXP_LIMIT), so sums of two stay in int64
 
 
-def _as_field_coeff(field: Field, c):
-    if isinstance(field, ExtField) and not isinstance(c, tuple):
-        return field.embed(c)
-    if isinstance(field, PrimeField) and isinstance(c, int):
-        return c % field.p
-    return c
+def _in_field(field: Field, coeffs: np.ndarray) -> np.ndarray:
+    """A coefficient array as elements of field: an F_p array (terms,)
+    embeds into F_{p^k} as (terms, k)."""
+    embed = isinstance(field, ExtField) and coeffs.ndim == 1
+    return coeffs[:, None] * field.kernel.unit if embed else coeffs
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 class SparsePoly:
-    """Immutable sparse polynomial: parallel coefficient/exponent tuples."""
+    """Immutable sparse polynomial: a (terms, nvars) exponent matrix and a
+    coefficient array, both int64 and read-only, in canonical order.  The
+    constructor trusts its arrays to be canonical; from_terms and
+    from_arrays make them so."""
 
     __slots__ = ("nvars", "coeffs", "exps")
 
-    def __init__(self, nvars: int, coeffs: tuple = (), exps: tuple = ()):
+    def __init__(self, nvars: int, coeffs=(), exps=()):
         self.nvars = nvars
-        self.coeffs = tuple(coeffs)
-        self.exps = tuple(exps)
+        self.coeffs = _frozen(np.asarray(coeffs, dtype=np.int64))
+        self.exps = _frozen(np.asarray(exps, dtype=np.int64).reshape(len(self.coeffs), nvars))
 
     @classmethod
     def zero(cls, nvars: int) -> "SparsePoly":
@@ -39,24 +51,37 @@ class SparsePoly:
 
     @classmethod
     def from_terms(cls, field: Field, nvars: int, terms) -> "SparsePoly":
-        """Canonical construction: combines duplicates, drops zeros, sorts."""
-        acc: dict = {}
-        for c, e in terms:
-            e = tuple(int(x) for x in e)
-            if len(e) != nvars or any(x < 0 for x in e):
-                raise InvalidInput(f"bad exponent vector {e}")
-            c = _as_field_coeff(field, c)
-            if e in acc:
-                acc[e] = field.add(acc[e], c)
-            else:
-                acc[e] = c
-        items = [(e, c) for e, c in acc.items() if c != field.zero]
-        items.sort()
-        return cls(nvars, tuple(c for _, c in items), tuple(e for e, _ in items))
+        """Canonical construction from (coefficient, exponent vector) pairs:
+        combines duplicates, drops zeros, sorts."""
+        terms = list(terms)
+        try:
+            coeffs = np.array([c for c, _ in terms], dtype=np.int64)
+            exps = np.array([e for _, e in terms], dtype=np.int64).reshape(len(terms), nvars)
+        except (OverflowError, ValueError) as exc:
+            raise InvalidInput(f"bad term: {exc}") from exc
+        return cls.from_arrays(field, exps, coeffs)
+
+    @classmethod
+    def from_arrays(cls, field: Field, exps: np.ndarray, coeffs: np.ndarray) -> "SparsePoly":
+        """Canonical construction from an exponent matrix and coefficients in
+        any order: one lexsort, one reduceat mod p over duplicate rows, then
+        the zeros dropped."""
+        if exps.size and (exps.min() < 0 or exps.max() >= EXP_LIMIT):
+            raise InvalidInput("exponents must lie in [0, 2^62)")
+        coeffs = _in_field(field, coeffs) % field.p
+        order = np.lexsort(exps.T[::-1])
+        exps, coeffs = exps[order], coeffs[order]
+        starts = np.flatnonzero(np.r_[True, (exps[1:] != exps[:-1]).any(axis=1)])
+        if len(starts) < len(exps):
+            work = coeffs.astype(field.kernel.work)
+            coeffs = np.asarray(np.add.reduceat(work, starts, axis=0) % field.p, dtype=np.int64)
+            exps = exps[starts]
+        keep = nonzero(field, coeffs)
+        return cls(exps.shape[1], coeffs[keep], exps[keep])
 
     @classmethod
     def constant(cls, field: Field, nvars: int, c) -> "SparsePoly":
-        c = _as_field_coeff(field, c)
+        c = field.embed(c) if isinstance(c, int) else c
         if c == field.zero:
             return cls.zero(nvars)
         return cls(nvars, (c,), ((0,) * nvars,))
@@ -67,49 +92,49 @@ class SparsePoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not len(self.coeffs)
 
     @property
     def leading_exp(self) -> tuple:
         if self.is_zero:
             raise ZeroPolynomial("zero polynomial has no leading term")
-        return self.exps[-1]
+        return tuple(self.exps[-1].tolist())
 
     @property
     def lc(self):
         if self.is_zero:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        c = self.coeffs[-1].tolist()
+        return tuple(c) if isinstance(c, list) else c
 
     def total_degree(self) -> int:
         if self.is_zero:
             return -1
-        return max(sum(e) for e in self.exps)
+        if int(self.exps.max()) * self.nvars < 1 << 63:
+            return int(self.exps.sum(axis=1).max())
+        return max(map(sum, self.exps.tolist()))  # row sums past int64
 
     def partial_degrees(self) -> tuple:
         if self.is_zero:
             return (0,) * self.nvars
-        return tuple(max(e[i] for e in self.exps) for i in range(self.nvars))
+        return tuple(self.exps.max(axis=0).tolist())
 
     def terms(self):
-        return zip(self.coeffs, self.exps)
-
-    def evaluate(self, field: Field, point):
-        acc = field.zero
-        for c, e in self.terms():
-            acc = field.add(acc, field.mul(_as_field_coeff(field, c), _monomial(field, e, point)))
-        return acc
+        """(coefficient, exponent tuple) pairs in canonical order, as python
+        ints (k-tuples of them over F_{p^k})."""
+        coeffs = self.coeffs.tolist()
+        return zip(map(tuple, coeffs) if self.coeffs.ndim == 2 else coeffs, map(tuple, self.exps.tolist()))
 
     def __eq__(self, other):
         return (
             isinstance(other, SparsePoly)
             and other.nvars == self.nvars
-            and other.coeffs == self.coeffs
-            and other.exps == self.exps
+            and np.array_equal(other.exps, self.exps)
+            and (self.is_zero or np.array_equal(other.coeffs, self.coeffs))
         )
 
     def __hash__(self):
-        return hash((self.nvars, self.coeffs, self.exps))
+        return hash((self.nvars, self.exps.tobytes(), self.coeffs.tobytes()))
 
     def __repr__(self):
         if self.is_zero:
@@ -118,42 +143,25 @@ class SparsePoly:
         return f"SparsePoly({self.nvars}, {' + '.join(parts)})"
 
 
-def to_base_field(field: ExtField, f: SparsePoly) -> SparsePoly:
-    """f with its coefficients taken back to the prime subfield; raises
-    InvalidInput if any coefficient lies outside it."""
-    return SparsePoly(f.nvars, tuple(field.to_base(c) for c in f.coeffs), f.exps)
-
-
-def scale_poly(field: Field, f: SparsePoly, c) -> SparsePoly:
-    if c == field.zero:
-        return SparsePoly.zero(f.nvars)
-    return SparsePoly(f.nvars, tuple(field.mul(x, c) for x in f.coeffs), f.exps)
-
-
 def lex_monic(field: Field, f: SparsePoly) -> SparsePoly:
     """Divide by the coefficient of the lexicographically greatest term."""
     if f.is_zero:
         raise ZeroPolynomial("cannot normalize the zero polynomial")
-    return scale_poly(field, f, field.inv(f.lc))
+    return SparsePoly(f.nvars, field.kernel.mul(field.inv(f.lc), f.coeffs), f.exps)
 
 
 def add_polys(field: Field, polys) -> SparsePoly:
-    terms = []
-    nvars = None
-    for f in polys:
-        nvars = f.nvars if nvars is None else nvars
-        terms.extend(f.terms())
-    if nvars is None:
+    polys = list(polys)
+    if not polys:
         raise InvalidInput("empty sum")
-    return SparsePoly.from_terms(field, nvars, terms)
+    exps = np.concatenate([f.exps for f in polys])
+    coeffs = np.concatenate([f.coeffs for f in polys])
+    return SparsePoly.from_arrays(field, exps, coeffs)
 
 
 def shift_exponents(f: SparsePoly, delta) -> SparsePoly:
     """Multiply by the monomial x^delta (exponent addition, order-preserving)."""
-    delta = tuple(delta)
-    return SparsePoly(
-        f.nvars, f.coeffs, tuple(tuple(a + b for a, b in zip(e, delta)) for e in f.exps)
-    )
+    return SparsePoly(f.nvars, f.coeffs, f.exps + np.asarray(delta, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +173,11 @@ def monomial_content(f: SparsePoly) -> tuple:
     """Coordinatewise minimum of the exponent vectors."""
     if f.is_zero:
         raise ZeroPolynomial("zero polynomial has no monomial content")
-    return tuple(min(e[i] for e in f.exps) for i in range(f.nvars))
+    return tuple(f.exps.min(axis=0).tolist())
 
 
 def monomial_primitive(f: SparsePoly) -> SparsePoly:
-    cont = monomial_content(f)
-    return SparsePoly(
-        f.nvars, f.coeffs, tuple(tuple(a - b for a, b in zip(e, cont)) for e in f.exps)
-    )
+    return shift_exponents(f, [-c for c in monomial_content(f)])
 
 
 def monomial_gcd(a: tuple, b: tuple) -> tuple:
@@ -185,36 +190,32 @@ def monomial_gcd(a: tuple, b: tuple) -> tuple:
 
 
 class HomoPoly:
-    """f with x_i -> x_i * y^(s_i), grouped by y-degree, lowest layer at y^0."""
+    """f with x_i -> x_i * y^(s_i), lowest y-degree y^0: the y-degree of
+    each term of f, in f's term order, as one read-only int64 array."""
 
-    __slots__ = ("nvars", "s", "layers", "ydegs", "source")
+    __slots__ = ("nvars", "s", "ydegs", "max_ydeg", "source")
 
     def __init__(self, f: SparsePoly, s: tuple):
         if f.is_zero:
             raise ZeroPolynomial("cannot homogenize the zero polynomial")
         if any(x < 1 for x in s):
             raise InvalidInput("isolating vector entries must be >= 1")
-        dots = [sum(a * b for a, b in zip(e, s)) for e in f.exps]
-        low = min(dots)
-        ydegs = tuple(d - low for d in dots)
-        groups: dict = {}
-        for (c, e), yd in zip(f.terms(), ydegs):
-            groups.setdefault(yd, []).append((c, e))
-        layers = []
-        for yd in sorted(groups):
-            terms = sorted(groups[yd], key=lambda t: t[1])
-            layers.append(
-                (yd, SparsePoly(f.nvars, tuple(c for c, _ in terms), tuple(e for _, e in terms)))
-            )
+        dots = f.exps @ np.array(s, dtype=np.int64)
         self.nvars = f.nvars
         self.s = tuple(s)
-        self.layers = tuple(layers)
-        self.ydegs = ydegs
+        self.ydegs = _frozen(dots - dots.min())
+        self.max_ydeg = int(self.ydegs.max())
         self.source = f
 
     @property
-    def max_ydeg(self) -> int:
-        return self.layers[-1][0]
+    def layers(self) -> tuple:
+        """(y-degree, SparsePoly) per layer, lowest first, built on each
+        access."""
+        f, ydegs = self.source, self.ydegs
+        return tuple(
+            (yd, SparsePoly(f.nvars, f.coeffs[ydegs == yd], f.exps[ydegs == yd]))
+            for yd in np.unique(ydegs).tolist()
+        )
 
     def substitute_one(self, field: Field) -> SparsePoly:
         """Set y = 1: the sum of all layers recovers the source polynomial."""
@@ -229,9 +230,8 @@ def has_max_isolated_term(f: SparsePoly, s) -> bool:
     """True iff a unique term attains the maximal weighted degree <e, s>."""
     if f.is_zero:
         raise ZeroPolynomial("undefined for the zero polynomial")
-    dots = [sum(a * b for a, b in zip(e, s)) for e in f.exps]
-    top = max(dots)
-    return dots.count(top) == 1
+    dots = f.exps @ np.array(s, dtype=np.int64)
+    return int(np.count_nonzero(dots == dots.max())) == 1
 
 
 def choose_isolating_vector(
@@ -242,18 +242,22 @@ def choose_isolating_vector(
 ):
     """Sample s with 1 <= s_i <= N until A or B gets a maximum isolated term.
 
-    N escalates 1, 2, 4, ... up to 2*min(#A - 1, #B - 1) and then stays
-    there.  Returns (s, which) where which is "A" or "B".
+    N escalates 1, 2, 4, ... up to cap = 2*min(#A - 1, #B - 1) and then
+    stays there.  Returns (s, which) where which is "A" or "B".  Weighted
+    degrees are int64, so D * cap must stay below 2^62 (D the largest total
+    degree); larger inputs raise InvalidInput.
     """
     if A.is_zero or B.is_zero:
         raise InvalidInput("inputs must be nonzero")
+    cap = max(1, 2 * (min(A.n_terms, B.n_terms) - 1))
+    if max(A.total_degree(), B.total_degree()) * cap >= EXP_LIMIT:
+        raise InvalidInput("total degree times 2*min(#A - 1, #B - 1) must stay below 2^62")
     n = A.nvars
     ones = (1,) * n
     if A.n_terms == 1:
         return ones, "A"
     if B.n_terms == 1:
         return ones, "B"
-    cap = max(1, 2 * (min(A.n_terms, B.n_terms) - 1))
     N = 1
     for _ in range(max_attempts):
         s = tuple(rng.randint(1, N) for _ in range(n))
@@ -277,8 +281,8 @@ def diversify(field: Field, f: SparsePoly, zeta) -> SparsePoly:
     zeta = tuple(zeta)
     if any(z == field.zero for z in zeta):
         raise ZeroScale("diversifier coordinates must be nonzero")
-    coeffs = (field.mul(_as_field_coeff(field, c), _monomial(field, e, zeta)) for c, e in f.terms())
-    return SparsePoly(f.nvars, tuple(coeffs), f.exps)
+    scales = _monomial_values(field, f.exps, zeta)
+    return SparsePoly(f.nvars, field.kernel.mul(_in_field(field, f.coeffs), scales), f.exps)
 
 
 def undiversify(field: Field, f: SparsePoly, zeta) -> SparsePoly:
@@ -290,23 +294,13 @@ def undiversify(field: Field, f: SparsePoly, zeta) -> SparsePoly:
 # ---------------------------------------------------------------------------
 
 
-def _monomial(field: Field, e, point):
-    """The monomial x^e at point, on field elements (one term's value, for
-    SparsePoly.evaluate and diversify)."""
-    v = field.one
-    for x, k in zip(point, e):
-        if k:
-            v = field.mul(v, field.pow_(x, k))
-    return v
-
-
 def _monomial_values(field: Field, exps, point) -> np.ndarray:
     """M_j(point) for every exponent vector (the rows of exps), in term
     order, as an int64 array on the field's kernel: the powers of all
     coordinates for the whole exponent matrix at once, then one product
     across its columns."""
     kern = field.kernel
-    factors = kern.pow(kern.array(point), np.array(exps, dtype=np.int64).reshape(len(exps), len(point)))
+    factors = kern.pow(kern.array(point), np.reshape(exps, (len(exps), len(point))))
     out = np.zeros((len(factors),) + kern.shape, dtype=np.int64) + kern.unit
     for l in range(factors.shape[1]):
         out = kern.mul(out, factors[:, l])
@@ -324,7 +318,7 @@ def eval_at_powers(field: Field, f: SparsePoly, alpha, count: int):
         raise InvalidInput("count must be >= 1")
     kern = field.kernel
     mmats = kern.matrices(_monomial_values(field, f.exps, alpha))
-    running = kern.array([_as_field_coeff(field, c) for c in f.coeffs])
+    running = _in_field(field, f.coeffs)
     out = []
     for _ in range(count):
         running = kern.apply(mmats, running)
@@ -346,14 +340,13 @@ class PowerImageEvaluator:
         self.kernel = kern = field.kernel
         self.width = homo.max_ydeg + 1
         # terms sorted by y-degree, so image[ydeg] is one reduceat segment
-        ydegs = np.array(homo.ydegs, dtype=np.int64)
-        order = np.argsort(ydegs, kind="stable")
-        ydegs = ydegs[order]
+        order = np.argsort(homo.ydegs, kind="stable")
+        ydegs = homo.ydegs[order]
         self.starts = np.flatnonzero(np.r_[True, ydegs[1:] != ydegs[:-1]])
         self.segment_ydegs = ydegs[self.starts]
-        self.exps = np.array(homo.source.exps, dtype=np.int64)[order]
+        self.exps = homo.source.exps[order]
         self.mvals = kern.matrices(_monomial_values(field, self.exps, beta))
-        self.coeffs = kern.array([_as_field_coeff(field, c) for c in homo.source.coeffs])[order]
+        self.coeffs = _in_field(field, homo.source.coeffs)[order]
         self.running = self.coeffs
 
     def _starts(self, omega):

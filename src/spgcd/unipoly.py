@@ -2,14 +2,13 @@
 
 Polynomials are coefficient vectors, low degree first, no trailing zeros:
 lists of field elements, or int64 arrays ((len,) over F_p, (len, k) over
-F_{p^k}).  The list routines (poly_mul, poly_divmod, monic,
-berlekamp_massey) take field elements.  monic_gcd, root finding and the
-transposed Vandermonde solve take one polynomial (or pair, or system), or a
-batch of them as int64 arrays, and run on the field's kernel
+F_{p^k}).  berlekamp_massey takes field elements.  monic_gcd, root finding
+and the transposed Vandermonde solve take one polynomial (or pair, or
+system), or a batch of them as int64 arrays, and run on the field's kernel
 (``field.kernel``), so on every lane alike: the F_p and F_{p^k} kernels,
-and the wide kernels on python ints past their bounds.  A
-batch of root findings shares one _Moduli, which keeps one row per
-polynomial, each its own modulus.
+and the wide kernels on python ints past their bounds.  A batch of root
+findings shares one _Moduli, which keeps one row per polynomial, each its
+own modulus.
 
 monic_gcd has one Euclid for one pair and for a batch of pairs: a single
 pair is a batch of one row.  The rows of a batch run in lockstep, since at
@@ -29,8 +28,8 @@ the sums stay inside int64, and one inversion per row at the end makes the
 results monic.  A row whose remainder degree departs from the batch's, or
 whose leading coefficient vanishes, is finished from its inputs as a batch
 of one.  Rows run in batches of at most _LOCKSTEP_ENTRIES coefficients,
-which bounds the copies on wide rows.  _generic_monic_gcd, a Euclid on
-field elements, is the reference the tests compare with.
+which bounds the copies on wide rows.  The tests compare with a Euclid on
+field elements (tests/reference.py).
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import random
 
 import numpy as np
 
-from .errors import DivisionByZero, InvalidInput, RootDeficit, SingularSystem
+from .errors import InvalidInput, RootDeficit, SingularSystem
 from .field import ExtField, Field, elements, nonzero
 
 _FFT_MAX_P = 1 << 24  # 8-bit digit split keeps FFT rounding below 1/4
@@ -47,10 +46,6 @@ _FFT_MIN_SIZE = 24_000  # MAC count under which np.convolve wins
 _BLOCK_H = 512  # Lehmer window half-size
 _BLOCK_MIN_DEG = 3 * _BLOCK_H  # no block phase below this degree
 _LOCKSTEP_ENTRIES = 1 << 16  # rows x width of one lockstep batch, rows x table of one _Moduli product
-
-
-def degree(f) -> int:
-    return len(f) - 1
 
 
 def trim(f):
@@ -67,34 +62,6 @@ def _nonzero(c) -> bool:
     return bool(c)
 
 
-def poly_mul(field: Field, a, b):
-    if not len(a) or not len(b):
-        return []
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if _nonzero(ai):
-            for j, bj in enumerate(b):
-                out[i + j] = field.add(out[i + j], field.mul(ai, bj))
-    return trim(out)
-
-
-def poly_divmod(field: Field, a, b):
-    b = trim(list(b))
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    r = list(a)
-    db = len(b) - 1
-    inv_lc = field.inv(b[-1])
-    q = [field.zero] * max(len(r) - db, 0)
-    for k in range(len(r) - db - 1, -1, -1):
-        c = field.mul(r[k + db], inv_lc)
-        if _nonzero(c):
-            q[k] = c
-            for j in range(db + 1):
-                r[k + j] = field.sub(r[k + j], field.mul(c, b[j]))
-    return trim(q), trim(r[:db])
-
-
 def _power(mul, one, base, e: int):
     """base^e by left-to-right square-and-multiply under the product mul,
     for base already reduced."""
@@ -106,14 +73,6 @@ def _power(mul, one, base, e: int):
         if bit == "1":
             result = mul(result, base)
     return result
-
-
-def monic(field: Field, f):
-    f = trim(f if isinstance(f, list) else list(f))
-    if not f:
-        return f
-    inv = field.inv(f[-1])
-    return [field.mul(c, inv) for c in f]
 
 
 # ---------------------------------------------------------------------------
@@ -397,25 +356,6 @@ def _monic_gcd_alone(kern, u, v):
     if not len(kept):
         kept, G = _lockstep_euclid(kern, r0[None], r1[None])
     return G[0]
-
-
-def _generic_monic_gcd(field: Field, u, v):
-    """Euclid on lists of field elements, one inversion per step: the
-    reference the tests compare monic_gcd with."""
-    r0, r1 = trim(list(u)), trim(list(v))
-    while r1:
-        d0, d1 = len(r0) - 1, len(r1) - 1
-        if d0 < d1:
-            r0, r1 = r1, r0
-            continue
-        q = field.mul(r0[-1], field.inv(r1[-1]))
-        shift = d0 - d1
-        for j in range(d1 + 1):
-            r0[shift + j] = field.sub(r0[shift + j], field.mul(q, r1[j]))
-        r0 = trim(r0)
-        if len(r0) - 1 < d1:
-            r0, r1 = r1, r0
-    return monic(field, r0)
 
 
 def monic_gcd(field: Field, u, v):

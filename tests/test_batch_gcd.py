@@ -32,7 +32,10 @@ from spgcd.field import (
 from spgcd.instances import gen_triple
 from spgcd.sparse import lex_monic
 from spgcd import unipoly
-from spgcd.unipoly import _BLOCK_MIN_DEG, _generic_monic_gcd, _np_mul, monic, monic_gcd, trim
+from spgcd.unipoly import _BLOCK_MIN_DEG, _np_mul, monic_gcd, trim
+
+import reference
+from reference import generic_monic_gcd, monic
 
 
 def largest_prime_below(n):
@@ -79,9 +82,9 @@ def poly_add(field, a, b):
 
 def poly_mul(field, a, b):
     """Product by the F_p numpy lane's multiplication (FFT for wide rows),
-    or by unipoly's over F_{p^k}."""
+    or by the test reference's over F_{p^k}."""
     if isinstance(field, ExtField):
-        return unipoly.poly_mul(field, a, b)
+        return reference.poly_mul(field, a, b)
     return trim(_np_mul(field.p, np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)).tolist())
 
 
@@ -116,7 +119,7 @@ def check_rows(field, U, V):
     G, lockstep = monic_gcd(field, U, V)
     assert 0 <= lockstep <= len(U)
     for i in range(len(U)):
-        want = _generic_monic_gcd(field, elements(field, U[i]), elements(field, V[i]))
+        want = generic_monic_gcd(field, elements(field, U[i]), elements(field, V[i]))
         assert elements(field, G[i, : len(want)]) == want, i
         assert not G[i, len(want) :].any(), i
     return lockstep
@@ -204,7 +207,7 @@ def test_wide_proportional_rows():
 def test_rows_whose_window_disagrees_leave(monkeypatch):
     # a new remainder of another degree than its window predicts (which the
     # window lemma rules out) makes the row leave the batch, even every row;
-    # alone it leaves again, and _generic_monic_gcd finishes it
+    # alone it leaves again, and generic_monic_gcd finishes it
     real = unipoly._np_window_rows
 
     def off_by_one(*args):

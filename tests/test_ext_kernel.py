@@ -30,7 +30,9 @@ from spgcd.field import (
     is_probable_prime,
 )
 from spgcd.sparse import SparsePoly, _monomial_values, eval_at_powers
-from spgcd.unipoly import _generic_monic_gcd, monic_gcd, poly_mul, trim
+from spgcd.unipoly import monic_gcd, trim
+
+from reference import evaluate, generic_monic_gcd, poly_mul
 
 DEGREES = (1, 2, 4)
 
@@ -126,7 +128,7 @@ def test_monic_gcd(data):
     w, u, v = (data.draw(polys(field, 5)) for _ in range(3))
     u, v = poly_mul(field, w, u), poly_mul(field, w, v)
     assume(trim(list(u)) or trim(list(v)))
-    assert monic_gcd(field, u, v) == _generic_monic_gcd(field, u, v)
+    assert monic_gcd(field, u, v) == generic_monic_gcd(field, u, v)
 
 
 def test_huge_exponents_evaluate_in_little_memory():
@@ -144,7 +146,7 @@ def test_huge_exponents_evaluate_in_little_memory():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        naive = [f.evaluate(field, tuple(field.pow_(a, i) for a in alpha)) for i in (1, 2)]
+        naive = [evaluate(field, f, tuple(field.pow_(a, i) for a in alpha)) for i in (1, 2)]
         assert got == naive
         assert col == [field.pow_(alpha[0], big), field.pow_(alpha[0], 3)]
         assert peak < 4 << 20

@@ -8,6 +8,8 @@ from spgcd.instances import random_poly
 from spgcd.oracle import dense_gcd, divides_exactly, sparse_mul
 from spgcd.sparse import SparsePoly, lex_monic
 
+from reference import evaluate
+
 F7 = PrimeField(7)
 F11 = PrimeField(11)
 FP = PrimeField(10000019)
@@ -81,7 +83,7 @@ class TestSparseMul:
             g = random_poly(FP, rng, n, rng.randint(1, 6), 5)
             pt = tuple(FP.rand(rng) for _ in range(n))
             prod = sparse_mul(FP, f, g)
-            assert prod.evaluate(FP, pt) == FP.mul(f.evaluate(FP, pt), g.evaluate(FP, pt))
+            assert evaluate(FP, prod, pt) == FP.mul(evaluate(FP, f, pt), evaluate(FP, g, pt))
 
 
 class TestDividesExactly:

@@ -27,6 +27,8 @@ from spgcd.sparse import (
     undiversify,
 )
 
+from reference import evaluate
+
 F7 = PrimeField(7)
 F11 = PrimeField(11)
 FP = PrimeField(10000019)
@@ -40,12 +42,12 @@ def poly(field, nvars, terms):
 class TestCanonicalForm:
     def test_terms_sorted_and_merged(self):
         f = poly(F7, 2, [(3, (1, 0)), (5, (0, 1)), (2, (1, 0))])
-        assert f.exps == ((0, 1), (1, 0))
-        assert f.coeffs == (5, 5)
+        assert f.exps.tolist() == [[0, 1], [1, 0]]
+        assert f.coeffs.tolist() == [5, 5]
         # 3 + 4 = 7 = 0 mod 7: the (1, 0) term must vanish entirely
         f2 = poly(F7, 2, [(3, (1, 0)), (4, (1, 0)), (5, (0, 1))])
-        assert f2.exps == ((0, 1),)
-        assert f2.coeffs == (5,)
+        assert f2.exps.tolist() == [[0, 1]]
+        assert f2.coeffs.tolist() == [5]
 
     def test_leading_term_is_last(self):
         f = poly(F7, 2, [(2, (0, 1)), (3, (1, 0))])
@@ -169,7 +171,7 @@ class TestDiversify:
             f = random_poly(FP, rng, 3, rng.randint(1, 10), 9)
             zeta = tuple(FP.rand_unit(rng) for _ in range(3))
             g = diversify(FP, f, zeta)
-            assert g.exps == f.exps  # support preserved exactly
+            assert g.exps.tolist() == f.exps.tolist()  # support preserved exactly
             assert undiversify(FP, g, zeta) == f
 
     def test_zero_scale_rejected(self):
@@ -181,7 +183,7 @@ class TestDiversify:
         E = ExtField(7, (1, 0, 1))
         f = poly(F7, 1, [(3, (2,))])
         g = diversify(E, f, ((0, 1),))  # zeta = z: coefficient 3 * z^2 = 3 * (-1)
-        assert g.coeffs == (E.embed(4),)
+        assert [c for c, _ in g.terms()] == [E.embed(4)]
 
 
 class TestEvalAtPowers:
@@ -202,7 +204,7 @@ class TestEvalAtPowers:
                 alpha = tuple(field.rand_unit(rng) for _ in range(n))
                 got = eval_at_powers(field, f, alpha, 5)
                 naive = [
-                    f.evaluate(field, tuple(field.pow_(a, i) for a in alpha))
+                    evaluate(field, f, tuple(field.pow_(a, i) for a in alpha))
                     for i in range(1, 6)
                 ]
                 assert got == naive
@@ -239,7 +241,7 @@ class TestPowerImageEvaluator:
         # plus seven terms of weighted degree 6: one y-layer whose sum at p
         # near 2^62 leaves int64
         layer = ((6, 0, 0), (4, 1, 0), (2, 2, 0), (0, 3, 0), (3, 0, 1), (1, 1, 1), (0, 0, 2))
-        support = random_poly(F11, rng, n, 9, 6).exps + layer
+        support = [e for _, e in random_poly(F11, rng, n, 9, 6).terms()] + list(layer)
         f = SparsePoly.from_terms(field, n, [(field.rand_unit(rng), e) for e in support])
         homo = homogenize(f, (1, 2, 3))
         beta = tuple(field.rand_unit(rng) for _ in range(n))
@@ -251,7 +253,7 @@ class TestPowerImageEvaluator:
                 point[shifted] = field.mul(point[shifted], omega)
             img = [field.zero] * (homo.max_ydeg + 1)
             for yd, layer in homo.layers:
-                img[yd] = layer.evaluate(field, tuple(point))
+                img[yd] = evaluate(field, layer, tuple(point))
             return img
 
         ev = PowerImageEvaluator(field, homo, beta)
@@ -270,4 +272,4 @@ class TestLexMonic:
         f = poly(F7, 2, [(2, (0, 1)), (3, (1, 0))])
         g = lex_monic(F7, f)
         assert g.lc == 1
-        assert g.coeffs == (3, 1)  # 2 * inv(3) = 2 * 5 = 10 = 3
+        assert g.coeffs.tolist() == [3, 1]  # 2 * inv(3) = 2 * 5 = 10 = 3
