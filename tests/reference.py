@@ -20,6 +20,43 @@ def evaluate(field, f, point):
     return acc
 
 
+# sparse polynomials as sorted lists of (coefficient, exponent tuple) terms
+
+
+def canonical_terms(field, nvars, terms):
+    """Duplicates combined, zeros dropped, sorted by exponent tuple."""
+    acc = {}
+    for c, e in terms:
+        e = tuple(e)
+        assert len(e) == nvars
+        c = field.embed(c) if isinstance(c, int) else c
+        acc[e] = field.add(acc[e], c) if e in acc else c
+    return sorted((e, c) for e, c in acc.items() if c != field.zero)
+
+
+def content(terms):
+    return tuple(min(e[i] for e, _ in terms) for i in range(len(terms[0][0])))
+
+
+def primitive(terms):
+    cont = content(terms)
+    return [(tuple(a - b for a, b in zip(e, cont)), c) for e, c in terms]
+
+
+def weighted_degrees(terms, s):
+    return [sum(a * b for a, b in zip(e, s)) for e, _ in terms]
+
+
+def isolated(terms, s):
+    dots = weighted_degrees(terms, s)
+    return dots.count(max(dots)) == 1
+
+
+def render(p, nvars, terms):
+    lines = [f"p {p}", f"n {nvars}"] + [" ".join(map(str, (c,) + e)) for e, c in terms]
+    return "\n".join(lines) + "\n"
+
+
 # dense univariate polynomials: lists of field elements, low degree first
 
 

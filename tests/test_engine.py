@@ -181,6 +181,13 @@ class TestPrimitiveGcd:
         with pytest.raises(InvalidInput):
             primitive_gcd(F7, a, b, GcdConfig(seed=0, omega=3))  # ord(3) = 6 <= 2d
 
+    @pytest.mark.parametrize("omega", [0, 10000019])
+    def test_omega_divisible_by_p_rejected(self, omega):
+        # omega = 0 mod p has no multiplicative order; it must not reach Stage IV
+        A, B, _ = gen_triple(FP, random.Random(1), 3, 6, 6)
+        with pytest.raises(InvalidInput):
+            gcd(FP, A, B, GcdConfig(seed=1, omega=omega))
+
 
 class TestGcdWrapper:
     def test_content_split(self):

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spgcd.errors import ZeroPolynomial, ZeroScale
+from spgcd import polyfile
+from spgcd.errors import InvalidInput, ZeroPolynomial, ZeroScale
 from spgcd.field import (
     LANE_FP_NUMPY,
     LANE_FPK_KERNEL,
@@ -13,6 +16,7 @@ from spgcd.field import (
     find_irreducible,
 )
 from spgcd.instances import random_poly
+from spgcd.oracle import sparse_mul
 from spgcd.sparse import (
     PowerImageEvaluator,
     SparsePoly,
@@ -27,6 +31,7 @@ from spgcd.sparse import (
     undiversify,
 )
 
+import reference
 from reference import evaluate
 
 F7 = PrimeField(7)
@@ -273,3 +278,126 @@ class TestLexMonic:
         g = lex_monic(F7, f)
         assert g.lc == 1
         assert g.coeffs.tolist() == [3, 1]  # 2 * inv(3) = 2 * 5 = 10 = 3
+
+
+# The array operations against the tuple references in tests/reference.py,
+# at p = 2 and 3, the standard prime, the largest prime below 2^62 (where
+# the sum of two residues leaves int64) and over F_{5^2}.
+ARRAY_FIELDS = [PrimeField(2), PrimeField(3), FP, PrimeField(P62), ext(5, 2)]
+
+
+@st.composite
+def term_lists(draw, field, max_exp=3):
+    """(nvars, terms) with repeated exponent vectors and zero coefficients;
+    max_exp None draws exponents anywhere in [0, 2^62)."""
+    n = draw(st.integers(1, 3))
+    exps = st.integers(0, 3) if max_exp is not None else st.one_of(st.integers(0, 3), st.integers(0, 2**62 - 1))
+    exp = st.tuples(*[exps] * n)
+    if isinstance(field, ExtField):
+        coeff = st.tuples(*[st.integers(0, field.p - 1)] * field.k)
+    else:
+        coeff = st.one_of(st.integers(0, field.p - 1), st.sampled_from([0, 1, field.p - 1]))
+    terms = draw(st.lists(st.tuples(coeff, exp), max_size=12))
+    if terms:  # repeat some terms outright
+        terms += draw(st.lists(st.sampled_from(terms), max_size=4))
+    return n, terms
+
+
+class TestArraysAgainstTuples:
+    @pytest.mark.parametrize("field", ARRAY_FIELDS, ids=str)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(data=st.data())
+    def test_from_terms_content_and_primitive(self, field, data):
+        n, terms = data.draw(term_lists(field, max_exp=None))
+        f = SparsePoly.from_terms(field, n, terms)
+        want = reference.canonical_terms(field, n, terms)
+        assert [(e, c) for c, e in f.terms()] == want
+        assert f.exps.shape == (len(want), n)
+        if want:
+            assert monomial_content(f) == reference.content(want)
+            assert [(e, c) for c, e in monomial_primitive(f).terms()] == reference.primitive(want)
+            assert f.total_degree() == max(sum(e) for e, _ in want)
+            assert f.partial_degrees() == tuple(max(e[i] for e, _ in want) for i in range(n))
+
+    @pytest.mark.parametrize("field", ARRAY_FIELDS, ids=str)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(data=st.data())
+    def test_isolation_and_ydegrees(self, field, data):
+        n, terms = data.draw(term_lists(field))
+        want = reference.canonical_terms(field, n, terms)
+        if not want:
+            return
+        f = SparsePoly.from_terms(field, n, terms)
+        s = data.draw(st.tuples(*[st.integers(1, 5)] * n))
+        assert has_max_isolated_term(f, s) == reference.isolated(want, s)
+        dots = reference.weighted_degrees(want, s)
+        ydegs = [d - min(dots) for d in dots]
+        layers = {}
+        for t, yd in zip(want, ydegs):
+            layers.setdefault(yd, []).append(t)
+        h = homogenize(f, s)
+        assert h.ydegs.tolist() == ydegs
+        assert h.max_ydeg == max(ydegs)
+        assert [(yd, [(e, c) for c, e in g.terms()]) for yd, g in h.layers] == sorted(layers.items())
+
+    @pytest.mark.parametrize("field", ARRAY_FIELDS[:4], ids=str)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(data=st.data())
+    def test_polyfile_round_trip(self, field, data):
+        n, terms = data.draw(term_lists(field, max_exp=None))
+        f = SparsePoly.from_terms(field, n, terms)
+        text = polyfile.render(field, f)
+        assert text == reference.render(field.p, n, reference.canonical_terms(field, n, terms))
+        assert polyfile.parse(text) == (field, f)
+
+    @pytest.mark.parametrize("field", ARRAY_FIELDS, ids=str)
+    def test_terms_are_python_ints_and_arrays_read_only(self, field):
+        rng = random.Random(7)
+        f = SparsePoly.from_terms(field, 2, [(field.rand_unit(rng), (i, 3 - i)) for i in range(4)])
+        for c, e in f.terms():
+            assert all(type(x) is int for x in (c if isinstance(c, tuple) else (c,)) + e)
+        h = homogenize(f, (1, 2))
+        for a in (f.exps, f.coeffs, h.ydegs):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_sparse_mul_exact_at_2_62(self):
+        # terms() hands the oracle python ints, so products of residues near
+        # 2^62 do not wrap
+        field = PrimeField(P62)
+        a = [(P62 - 1, (1, 0)), (P62 - 2, (0, 1))]
+        b = [(P62 - 3, (1, 0)), (P62 - 4, (0, 0))]
+        got = sparse_mul(field, SparsePoly.from_terms(field, 2, a), SparsePoly.from_terms(field, 2, b))
+        want = [
+            ((ea[0] + eb[0], ea[1] + eb[1]), ca * cb % P62) for ca, ea in a for cb, eb in b
+        ]
+        assert [(e, c) for c, e in got.terms()] == reference.canonical_terms(field, 2, [(c, e) for e, c in want])
+
+
+class TestInt64Bounds:
+    @pytest.mark.parametrize("e", [-1, 2**62, 2**63 - 1, 2**63, 2**70])
+    def test_exponents_outside_int64_range_rejected(self, e):
+        with pytest.raises(InvalidInput):
+            SparsePoly.from_terms(FP, 2, [(1, (0, 1)), (1, (e, 0))])
+
+    def test_largest_exponent_accepted(self):
+        f = SparsePoly.from_terms(FP, 3, [(1, (2**62 - 1,) * 3), (1, (0, 0, 0))])
+        assert f.total_degree() == 3 * (2**62 - 1)  # past int64, summed exactly
+
+    def test_weighted_degrees_that_could_wrap_rejected(self):
+        # D = 2^61 and cap = 2 * (3 - 1) = 4: D * cap = 2^63 would wrap exps @ s
+        A = SparsePoly.from_terms(FP, 2, [(1, (2**61, 0)), (1, (0, 1)), (1, (1, 1))])
+        B = SparsePoly.from_terms(FP, 2, [(1, (2**61, 0)), (1, (3, 0)), (1, (0, 2))])
+        with pytest.raises(InvalidInput):
+            choose_isolating_vector(A, B, random.Random(0))
+        # one term gives s = (1, 1, 1) without a draw: D = 3 * 2^61 alone is too large
+        one = SparsePoly.from_terms(FP, 3, [(1, (2**61,) * 3)])
+        with pytest.raises(InvalidInput):
+            choose_isolating_vector(one, SparsePoly.from_terms(FP, 3, [(1, (0, 0, 1)), (1, (1, 0, 0))]), random.Random(0))
+
+    def test_weighted_degrees_below_the_bound_accepted(self):
+        A = SparsePoly.from_terms(FP, 2, [(1, (2**59, 0)), (1, (0, 1)), (1, (1, 1))])
+        B = SparsePoly.from_terms(FP, 2, [(1, (2**59, 0)), (1, (3, 0)), (1, (0, 2))])
+        s, which = choose_isolating_vector(A, B, random.Random(0))
+        assert has_max_isolated_term(A if which == "A" else B, s)
