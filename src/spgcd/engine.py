@@ -2,9 +2,9 @@
 
 Stage I    pick an isolating vector s so one input's homogenization has a
            single term of maximal y-degree (then so does the GCD's);
-Stage II   probe univariate GCD images at powers of a random point, each
-           Hankel round's new images as one batch, and bound each y-layer's
-           term count by its first singular Hankel matrix;
+Stage II   probe univariate GCD images at powers of a random point, in a
+           few batches, and bound each y-layer's term count by its first
+           singular Hankel matrix, one stacked test per Hankel round;
 Stage III  size the working field and draw the shift element omega, of
            order > 2d, and the evaluation point alpha for the grid;
 Stage IV   evaluate the whole (n+1) x 2T grid as two arrays of image rows
@@ -31,16 +31,16 @@ has the bad sets the sizing assumes.  Shared nodes only drop events: only
 the base row's nodes must be distinct, and no coefficient has to be.
 
 Batched GCDs.  Stages II and IV hand their image pairs to unipoly.monic_gcd
-as two arrays, one row per point; Stage II the new images of each Hankel
-round (1, 2, 2, ... under "linear", 1, 2, 4, ... under "doubling").  At
-generic points the pairs share one remainder degree sequence, so they run
-in lockstep, on every lane (the field's kernel); a row that departs, or
-whose leading coefficient vanishes, is finished alone.  As with one GCD
-per point, only a final GCD degree other than Stage II's aborts the
-attempt, and Stage II checks its images in order, so the first bad one
-decides the failure.  StageTrace.lockstep_rows and fallback_rows count
-Stage IV's rows of both kinds.  The Hankel test and the scaling of images
-run on the field's kernel too.
+as two arrays, one row per point; Stage II each batch of images it takes
+ahead of its Hankel rounds (see _ImageStream).  At generic points the
+pairs share one remainder degree sequence, so they run in lockstep, on
+every lane (the field's kernel); a row that departs, or whose leading
+coefficient vanishes, is finished alone.  As with one GCD per point, only
+a final GCD degree other than Stage II's aborts the attempt, and Stage II
+fails at the first bad image its probe reads, never at one past it.
+StageTrace.lockstep_rows and fallback_rows count Stage IV's rows of both
+kinds.  The Hankel test and the scaling of images run on the field's
+kernel too.
 
 Every detectable inconsistency (vanishing leading coefficient, image degree
 drift, interpolation failure) aborts the attempt; the driver retries with
@@ -93,11 +93,11 @@ class GcdConfig:
     """Pipeline knobs; defaults match the analyzed algorithm.
 
     term_strategy "doubling" doubles the Hankel probe size each round;
-    "linear" grows it by one (cheaper when univariate GCDs dominate, the
-    benchmarking default).  Setting omega pins the shift element to that
-    element of the base field, whose multiplicative order must exceed 2d,
-    and disables field extensions entirely, trading the epsilon guarantee
-    for speed on large base fields.
+    "linear" grows it by one (tighter bounds, a smaller Stage IV grid; its
+    extra rounds reuse images taken in batches, the benchmarking default).
+    Setting omega pins the shift element to that element of the base field,
+    whose multiplicative order must exceed 2d, and disables field extensions
+    entirely, trading the epsilon guarantee for speed on large base fields.
     """
 
     epsilon: float = 1e-3
@@ -133,7 +133,9 @@ class StageTrace:
     over attempts, whose GCD finished in the batch's shared pass or was
     taken alone, after the row departed from the batch's remainder degrees
     or had a vanishing leading coefficient; on every lane a grid at generic
-    points has only lockstep rows.  ``split_rounds`` holds, per attempt
+    points has only lockstep rows.  ``stage2_images_read`` and
+    ``stage2_images_taken`` sum over attempts the images Stage II's last
+    Hankel round read (2T - 1) and took.  ``split_rounds`` holds, per attempt
     that reached Stage V, the number of batched root-finding split rounds
     it ran."""
 
@@ -151,6 +153,8 @@ class StageTrace:
     retries: int = 0
     lockstep_rows: int = 0
     fallback_rows: int = 0
+    stage2_images_read: int = 0
+    stage2_images_taken: int = 0
     split_rounds: list = dataclass_field(default_factory=list)
     lanes: dict = dataclass_field(default_factory=dict)
     timings: dict = dataclass_field(default_factory=dict)
@@ -169,33 +173,33 @@ class _StageFailure(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _hankel_singular(field: Field, values, size: int) -> bool:
-    """det HK_size == 0, where HK has entries v_(i+j-1) and values[0] = v_1:
-    inverse-free Gaussian elimination on the field's kernel."""
-    if len(values) < 2 * size - 1:
+def _hankel_singular_rows(field: Field, values: np.ndarray, size: int) -> np.ndarray:
+    """det HK_size == 0, HK with entries v_(i+j-1), for each row v_1, v_2, ...
+    of the int64 residues values (rows, len[, k]): one inverse-free Gaussian
+    elimination on the stacked (rows, size, size[, k]), each row's own pivots."""
+    if values.shape[1] < 2 * size - 1:
         raise InvalidInput("need 2*size - 1 values")
     kern = field.kernel
     idx = np.arange(size)
-    M = (kern.array(values) % field.p)[idx[:, None] + idx[None, :]]
+    M = values[:, idx[:, None] + idx[None, :]]
+    rows = np.arange(len(M))
+    singular = np.zeros(len(M), dtype=bool)
     for col in range(size):
-        live = np.flatnonzero(nonzero(field, M[col:, col]))
-        if not len(live):
-            return True
-        piv = col + live[0]
-        if piv != col:
-            M[[col, piv]] = M[[piv, col]]
+        live = nonzero(field, M[:, col:, col])
+        singular |= ~live.any(axis=1)
+        piv = col + np.argmax(live, axis=1)  # a singular row's elimination is moot
+        M[rows, col], M[rows, piv] = M[rows, piv], M[rows, col]
         if col + 1 < size:  # rows scaled by the nonzero pivot: no inversion
-            below = M[col + 1 :]
-            M[col + 1 :] = (kern.mul(M[col, col], below) - kern.mul(below[:, col, None], M[col])) % field.p
-    return False
+            lead, below = M[:, col], M[:, col + 1 :]
+            M[:, col + 1 :] = (kern.mul(lead[:, col, None, None], below) - kern.mul(below[:, :, col, None], lead[:, None])) % field.p
+    return singular
 
 
 def hankel_first_singular(field: Field, values, T: int):
     """Smallest s <= T with det HK_s = 0, or None when all are nonsingular."""
-    for s in range(1, T + 1):
-        if len(values) < 2 * s - 1:
-            break
-        if _hankel_singular(field, values, s):
+    values = field.kernel.array(values)[None] % field.p
+    for s in range(1, min(T, (values.shape[1] + 1) // 2) + 1):
+        if _hankel_singular_rows(field, values, s)[0]:
             return s
     return None
 
@@ -210,11 +214,6 @@ def _degrees(support) -> np.ndarray:
     return support.shape[1] - 1 - np.argmax(support[:, ::-1], axis=1)
 
 
-def _scale_rows(field, X, scales) -> np.ndarray:
-    """Row i of the int64 array X times the element scales[i]."""
-    return field.kernel.mul(scales[:, None], X)
-
-
 @functools.lru_cache(maxsize=64)
 def _extension(p: int, k: int) -> ExtField:
     """F_{p^k} on a modulus fixed by (p, k), so that each field, with its
@@ -222,53 +221,68 @@ def _extension(p: int, k: int) -> ExtField:
     return ExtField(p, find_irreducible(p, k, random.Random(k)))
 
 
+_FIRST_BATCH = 8  # Stage II's first batch of images, when the inputs are narrow
+_BATCH_COEFFS = 2048  # input coefficients that bound one batch beyond what the probe asks for
+
+
 class _ImageStream:
     """Stage II's scaled GCD images eta_i = (prod(point))^(i*d) *
-    monicgcd(F1_i, F2_i) at successive powers of one evaluation point, taken
-    as the Hankel probe grows and kept as int64 rows.  A vanishing leading
-    coefficient or a change in image degree aborts the attempt."""
+    monicgcd(F1_i, F2_i) at successive powers of one point, in one int64
+    array.  The probe reads a prefix (ensure), taken ahead in batches of one
+    GCD call: _FIRST_BATCH images, then as many as were taken, within
+    _BATCH_COEFFS input coefficients unless the probe needs more and within
+    limit in all.  The first image whose leading coefficient vanishes or
+    whose GCD degree differs from the first's aborts the attempt once the
+    prefix reaches it, as if the images had been taken one at a time."""
 
-    def __init__(self, field, homo1, homo2, point, d):
-        self.field = field
+    def __init__(self, field, homo1, homo2, point, d, limit, trace):
+        self.field, self.limit, self.trace = field, limit, trace
         self.ev1 = PowerImageEvaluator(field, homo1, point)
         self.ev2 = PowerImageEvaluator(field, homo2, point)
-        self.top1 = homo1.max_ydeg
-        self.top2 = homo2.max_ydeg
+        self.budget = _BATCH_COEFFS // (self.ev1.width + self.ev2.width)
         self.scale_step = field.pow_(prod(field, point), d)
-        self.scale = field.kernel.unit  # the scale of the last image taken
-        self.images = []
-        self.gcd_degree = None
+        self.taken = self.read = 0
+        self.images = self.gcd_degree = self.bad = None  # bad: (index, cause) of the first bad image
 
     def ensure(self, count: int):
-        """Take the images up to count as one batch of GCDs, checked in order."""
-        field, new = self.field, count - len(self.images)
-        if new <= 0:
-            return
-        U = np.array([self.ev1.next_image() for _ in range(new)], dtype=np.int64)
-        V = np.array([self.ev2.next_image() for _ in range(new)], dtype=np.int64)
-        lc_ok = nonzero(field, U[:, self.top1]) & nonzero(field, V[:, self.top2])
-        good = new if lc_ok.all() else int(np.argmin(lc_ok))  # the images before the first bad one
+        """Make the first count images the probe's prefix."""
+        self.trace.stage2_images_read += count - self.read
+        self.read = count
+        if self.bad is None and count > self.taken:  # a batch of at least what the probe needs
+            self._take(max(count - self.taken, min(self.taken or _FIRST_BATCH, self.budget, self.limit - self.taken)))
+        if self.bad is not None and count > self.bad[0]:
+            raise _StageFailure("II", self.bad[1])
+
+    def _take(self, batch: int):
+        field, kern = self.field, self.field.kernel
+        U, V = self.ev1.next_images(batch), self.ev2.next_images(batch)
+        start, self.taken = self.taken, self.taken + batch
+        self.trace.stage2_images_taken += batch
+        lc_ok = nonzero(field, U[:, -1]) & nonzero(field, V[:, -1])
+        good = batch if lc_ok.all() else int(np.argmin(lc_ok))  # the images before the first bad one
+        cause = "leading coefficient vanished"
         if good:
             G, _ = monic_gcd(field, U[:good], V[:good])
             degrees = _degrees(nonzero(field, G))
             if self.gcd_degree is None:
                 self.gcd_degree = int(degrees[0])
-            if np.any(degrees != self.gcd_degree):
-                raise _StageFailure("II", "image degree disagreement")
-            kern = field.kernel
-            scales = kern.mul(self.scale, kern.powers(self.scale_step, good)[1:])
-            self.scale = scales[-1]
-            self.images.extend(_scale_rows(field, G, scales))
-        if good < new:
-            raise _StageFailure("II", "leading coefficient vanished")
+            off = degrees != self.gcd_degree
+            if off.any():
+                good, cause = int(np.argmax(off)), "image degree disagreement"
+        if good:  # image i scales by scale_step^i
+            scales = kern.powers(self.scale_step, start + good)[start + 1 :]
+            kept = kern.mul(scales[:, None], G[:good, : self.gcd_degree + 1])
+            self.images = kept if self.images is None else np.concatenate([self.images, kept])
+        if good < batch:
+            self.bad = (start + good, cause)
 
     def support(self) -> set:
-        """The y-degrees with a nonzero coefficient in some image."""
-        return set(np.flatnonzero(nonzero(self.field, np.array(self.images)).any(axis=0)).tolist())
+        """The y-degrees with a nonzero coefficient in some image of the prefix."""
+        return set(np.flatnonzero(nonzero(self.field, self.images[: self.read]).any(axis=0)).tolist())
 
-    def values_at(self, e: int) -> np.ndarray:
-        """The images' coefficients of y^e, as an int64 array."""
-        return np.array([img[e] for img in self.images])
+    def values(self, ydegs) -> np.ndarray:
+        """The prefix's coefficients of y^e, one row per e in ydegs."""
+        return np.moveaxis(self.images[: self.read, ydegs], 1, 0)
 
 
 def _step1_degree(p: int, D: int, d: int) -> int:
@@ -328,7 +342,7 @@ def _run_primitive(field: PrimeField, A, B, d: int, D: int, cfg: GcdConfig, rng,
     E2 = field if ext2_deg == 1 else _extension(p, ext2_deg)
     sigma = tuple(E2.rand_unit(rng) for _ in range(n))
     trace.sigma = sigma
-    stream = _ImageStream(E2, homo1, homo2, sigma, d)
+    stream = _ImageStream(E2, homo1, homo2, sigma, d, 2 * term_cap - 1, trace)
     trace.lanes["II"] = E2.kernel.lane
 
     T = 1
@@ -338,9 +352,8 @@ def _run_primitive(field: PrimeField, A, B, d: int, D: int, cfg: GcdConfig, rng,
         support = stream.support()
         support.discard(stream.gcd_degree)
         pending = [e for e in support if e not in first_singular]
-        for e in pending:
-            if _hankel_singular(E2, stream.values_at(e), T):
-                first_singular[e] = T
+        singular = _hankel_singular_rows(E2, stream.values(pending), T)  # every pending layer's HK_T
+        first_singular.update((e, T) for e, hit in zip(pending, singular) if hit)
         if all(e in first_singular for e in support):
             break
         T = 2 * T if cfg.term_strategy == "doubling" else T + 1
@@ -397,7 +410,7 @@ def _run_primitive(field: PrimeField, A, B, d: int, D: int, cfg: GcdConfig, rng,
     scales = kern.powers(E3.pow_(prod(E3, alpha), d), count)[1:]
     shifted = kern.mul(E3.pow_(omega, d), scales)
     scales = np.concatenate([scales] + [shifted] * n)
-    values = _scale_rows(E3, G[:, list(layer_ydegs)], scales)
+    values = kern.mul(scales[:, None], G[:, list(layer_ydegs)])
     # (grid row, point, layer) -> (layer, grid row, point)
     values = np.moveaxis(values.reshape((n + 1, count) + values.shape[1:]), 2, 0)
     trace.timings["IV"] = trace.timings.get("IV", 0.0) + time.perf_counter() - t0

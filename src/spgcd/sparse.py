@@ -365,10 +365,17 @@ class PowerImageEvaluator:
         out[:, self.segment_ydegs] = sums % self.kernel.p
         return out
 
+    def next_images(self, count: int) -> np.ndarray:
+        """Images at the next count powers, as one (count, width[, k]) array."""
+        running = []
+        for _ in range(count):
+            self.running = self._advance(self.running)
+            running.append(self.running)
+        return self._images(np.stack(running))
+
     def next_image(self) -> np.ndarray:
         """Image at the next power; dense vector of length max_ydeg + 1."""
-        self.running = self._advance(self.running)
-        return self._images(self.running[None])[0]
+        return self.next_images(1)[0]
 
     def grid(self, count: int, omega) -> np.ndarray:
         """The images at i = 1..count of the unshifted sequence and then of

@@ -1,10 +1,21 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spgcd.engine import GcdConfig, _extension, _hankel_singular, gcd, hankel_first_singular, primitive_gcd
+from spgcd.engine import (
+    GcdConfig,
+    StageTrace,
+    _extension,
+    _hankel_singular_rows,
+    _ImageStream,
+    _StageFailure,
+    gcd,
+    hankel_first_singular,
+    primitive_gcd,
+)
 from spgcd.errors import InvalidInput
 from spgcd.field import (
     LANE_FP_NUMPY,
@@ -16,7 +27,8 @@ from spgcd.field import (
 )
 from spgcd.instances import gen_triple, random_poly
 from spgcd.oracle import dense_gcd, divides_exactly, sparse_mul
-from spgcd.sparse import SparsePoly, homogenize, lex_monic, monomial_primitive
+from spgcd.sparse import PowerImageEvaluator, SparsePoly, homogenize, lex_monic, monomial_primitive
+from spgcd.unipoly import monic_gcd
 
 F7 = PrimeField(7)
 F11 = PrimeField(11)
@@ -42,14 +54,15 @@ HANKEL_FIELDS = (
 )
 
 
-def t_sparse_sequence(field, t, rng):
-    """v_1, ..., v_(2t+1) of sum_j c_j m_j^i, t distinct nonzero m_j, c_j != 0."""
+def t_sparse_sequence(field, t, rng, length=None):
+    """v_1, ..., v_length (default 2t + 1) of sum_j c_j m_j^i, t distinct
+    nonzero m_j, c_j != 0."""
     nodes = set()
     while len(nodes) < t:
         nodes.add(field.rand_unit(rng))
     terms = [(field.rand_unit(rng), m) for m in sorted(nodes)]
     vals = []
-    for i in range(1, 2 * t + 2):
+    for i in range(1, (2 * t + 1 if length is None else length) + 1):
         v = field.zero
         for c, m in terms:
             v = field.add(v, field.mul(c, field.pow_(m, i)))
@@ -125,8 +138,46 @@ class TestHankel:
         singular = [generic_singular(field, hankel(vals, s)) for s in range(1, t + 2)]
         assert singular[t] and not (t and singular[t - 1])
         as_array = field.kernel.array(vals)  # the engine's form
-        assert [_hankel_singular(field, as_array, s) for s in range(1, t + 2)] == singular
+        assert [_hankel_singular_rows(field, as_array[None], s)[0] for s in range(1, t + 2)] == singular
         assert hankel_first_singular(field, vals, t + 1) == singular.index(True) + 1
+
+    @pytest.mark.parametrize("field", HANKEL_FIELDS, ids=repr)
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(data=st.data())
+    def test_stacked_rows_match_the_reference(self, field, data):
+        # one batch mixes random, all-zero, low-rank and full-rank rows and
+        # rows whose leading zeros move the pivot down; each row's flag must
+        # be its own matrix's, whatever the other rows hold
+        size = data.draw(st.integers(1, 5))
+        length = 2 * size - 1
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        rows = []
+        for kind in data.draw(st.lists(st.sampled_from(["random", "zero", "sparse", "late"]), min_size=1, max_size=6)):
+            if kind == "random":
+                rows.append([field.rand(rng) for _ in range(length)])
+            elif kind == "zero":
+                rows.append([field.zero] * length)
+            elif kind == "sparse":  # t <= size terms: singular when t < size
+                t = data.draw(st.integers(0, min(size, field.order - 1)))
+                rows.append(t_sparse_sequence(field, t, rng, length))
+            else:
+                lead = data.draw(st.integers(1, length))
+                rows.append([field.zero] * lead + [field.rand_unit(rng) for _ in range(length - lead)])
+        expected = [generic_singular(field, hankel(row, size)) for row in rows]
+        values = np.stack([field.kernel.array(row) for row in rows])
+        assert _hankel_singular_rows(field, values, size).tolist() == expected
+
+    def test_stacked_rows_pivot_apart(self):
+        # HK_3 over F_101 of: zero; rank one (c m^i); v = (0, 0, 1, 0, 0), the
+        # anti-diagonal, nonsingular with its pivot in the last row; (0, 1,
+        # 0, 0, 1), nonsingular with its pivot in the middle row; (1, 0, 0,
+        # 0, 0), singular after the first column
+        F = PrimeField(101)
+        rank_one = [3 * pow(5, i, 101) % 101 for i in range(1, 6)]
+        rows = [[0] * 5, rank_one, [0, 0, 1, 0, 0], [0, 1, 0, 0, 1], [1, 0, 0, 0, 0]]
+        got = _hankel_singular_rows(F, np.array(rows, dtype=np.int64), 3)
+        assert got.tolist() == [True, True, False, False, True]
+        assert got.tolist() == [generic_singular(F, hankel(row, 3)) for row in rows]
 
     @pytest.mark.parametrize("field", [f for f in HANKEL_FIELDS if f.order > 1000], ids=repr)
     def test_first_singular_is_t_plus_one(self, field):
@@ -135,6 +186,59 @@ class TestHankel:
             vals = t_sparse_sequence(field, t, rng)
             assert hankel_first_singular(field, vals, t + 1) == t + 1
             assert hankel_first_singular(field, field.kernel.array(vals), t + 1) == t + 1
+
+
+class TestImageStream:
+    # Over F_p at sigma = (s1, 1) with s1^7 = r: images one at a time, as
+    # the probe reads them, and streams whose image 7 is bad.  Image i is
+    # (s1^i)^d monicgcd(A(y, sigma^i), B(y, sigma^i)), weights s = (1, 1).
+    D = 2
+
+    def point(self, rng):
+        s1 = FP.rand_unit(rng)
+        assert len({FP.pow_(s1, i) for i in range(1, 10)}) == 9
+        return (s1, 1), FP.pow_(s1, 7)
+
+    def one_at_a_time(self, A, B, sigma, count):
+        evs = [PowerImageEvaluator(FP, homogenize(f, (1, 1)), sigma) for f in (A, B)]
+        images = []
+        for i in range(1, count + 1):
+            g = monic_gcd(FP, *(ev.next_image() for ev in evs))
+            images.append(g * FP.pow_(sigma[0], i * self.D) % FP.p)
+        return images
+
+    def stream(self, A, B, sigma):
+        trace = StageTrace()
+        homos = [homogenize(f, (1, 1)) for f in (A, B)]
+        return _ImageStream(FP, *homos, sigma, self.D, 2 * (self.D + 1) ** 2 - 1, trace), trace
+
+    def check_bad_image_7(self, A, B, sigma, cause):
+        stream, trace = self.stream(A, B, sigma)
+        for count in (1, 3, 5):
+            stream.ensure(count)
+            width = stream.images.shape[1]
+            expected = np.array(self.one_at_a_time(A, B, sigma, count))
+            assert np.array_equal(stream.values(list(range(width))).T, expected)
+        assert stream.taken == 8  # image 7 was taken ahead of the probe
+        assert (trace.stage2_images_read, trace.stage2_images_taken) == (5, 8)
+        with pytest.raises(_StageFailure, match=cause):
+            stream.ensure(7)
+        assert (trace.stage2_images_read, trace.stage2_images_taken) == (7, 8)
+
+    def test_leading_coefficient_vanishes_past_the_prefix(self):
+        # A's top y-coefficient x1^2 - r x1 x2 is s1^i (s1^i - r): zero at i = 7
+        sigma, r = self.point(random.Random(1))
+        A = poly(FP, 2, [(1, (2, 0)), (FP.neg(r), (1, 1)), (1, (1, 0)), (1, (0, 0))])
+        B = poly(FP, 2, [(1, (1, 1)), (2, (0, 1)), (3, (0, 0))])
+        self.check_bad_image_7(A, B, sigma, "leading coefficient vanished")
+
+    def test_degree_disagreement_past_the_prefix(self):
+        # A(y, sigma^i) = s1^i y - r and B(y, sigma^i) = y - 1 share a root
+        # only where s1^i = r: the GCD has degree 1 at image 7 only
+        sigma, r = self.point(random.Random(2))
+        A = poly(FP, 2, [(1, (1, 0)), (FP.neg(r), (0, 0))])
+        B = poly(FP, 2, [(1, (0, 1)), (FP.neg(1), (0, 0))])
+        self.check_bad_image_7(A, B, sigma, "image degree disagreement")
 
 
 class TestPrimitiveGcd:
@@ -407,6 +511,22 @@ class TestTrace:
         assert all(E3.pow_(tr.omega, j) != E3.one for j in range(1, 2 * d + 1))
         assert tr.lockstep_rows == (4 + 1) * 2 * tr.term_bounds.global_T
         assert tr.fallback_rows == 0
+
+    def test_stage_ii_images_read_and_taken(self):
+        # under "linear" the last Hankel round of an attempt is T = global_T
+        # + 1, so it reads 2 global_T + 1 images; narrow images come in a
+        # first batch of 8 and then doubling
+        A, B, G = gen_triple(FP, random.Random(1), 6, 30, 30)
+        got, tr = gcd(FP, A, B, GcdConfig(seed=3, omega=6, term_strategy="linear"))
+        assert got == G and tr.retries == 0 and tr.term_bounds.global_T == 4
+        assert (tr.stage2_images_read, tr.stage2_images_taken) == (9, 16)
+        # both sum over attempts: trial 11 at p = 61 fails Stage II twice,
+        # and each of its three attempts takes one batch of 8
+        _, F61, omega, A, B = list(bad_point_stream(61, 12))[-1]
+        got, tr = gcd(F61, A, B, GcdConfig(seed=11, omega=omega, max_retries=12))
+        assert got == dense_gcd(F61, A, B) and tr.retries == 2 and tr.term_bounds.global_T == 1
+        assert tr.stage2_images_taken == 3 * 8
+        assert tr.stage2_images_read == 6 + (2 * tr.term_bounds.global_T + 1)  # 6 in the failed attempts
 
     def test_stage_v_records_split_rounds(self):
         A, B, G = gen_triple(FP, random.Random(3), 6, 30, 30)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -270,6 +271,20 @@ class TestPowerImageEvaluator:
         for row, k in enumerate([None] + list(range(n))):
             for i in range(1, 5):
                 assert elements(field, grid[4 * row + i - 1]) == naive(i, k)
+
+    @pytest.mark.parametrize("field, lane_name", EVALUATOR_FIELDS, ids=str)
+    def test_next_images_match_successive_next_image(self, field, lane_name):
+        rng = random.Random(5)
+        support = [e for _, e in random_poly(F11, rng, 3, 9, 6).terms()]
+        f = SparsePoly.from_terms(field, 3, [(field.rand_unit(rng), e) for e in support])
+        homo = homogenize(f, (1, 2, 3))
+        beta = tuple(field.rand_unit(rng) for _ in range(3))
+        one, batched = PowerImageEvaluator(field, homo, beta), PowerImageEvaluator(field, homo, beta)
+        for count in (1, 3, 5):  # the batches continue from where the last one stopped
+            expected = np.array([one.next_image() for _ in range(count)])
+            got = batched.next_images(count)
+            assert got.dtype == np.int64 and got.shape == expected.shape
+            assert np.array_equal(got, expected)
 
 
 class TestLexMonic:
