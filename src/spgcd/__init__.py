@@ -9,7 +9,7 @@ Ben-Or/Tiwari interpolation driven by univariate GCD images.
 from .engine import GcdConfig, StageTrace, TermBounds, gcd, hankel_first_singular, primitive_gcd
 from .errors import GcdFailure, InterpolationError, InvalidInput, SpgcdError
 from .field import ExtField, PrimeField, discrete_log_bounded, find_irreducible
-from .interp import EvalGrid, interpolate
+from .interp import LayerGrids, interpolate
 from .oracle import dense_gcd, divides_exactly, sparse_mul
 from .sparse import (
     HomoPoly,
@@ -34,13 +34,13 @@ from .unipoly import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EvalGrid",
     "ExtField",
     "GcdConfig",
     "GcdFailure",
     "HomoPoly",
     "InterpolationError",
     "InvalidInput",
+    "LayerGrids",
     "PrimeField",
     "SparsePoly",
     "SpgcdError",

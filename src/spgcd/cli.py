@@ -6,9 +6,9 @@
     spgcd verify G.poly A.poly B.poly    exit 3 when verification fails
 
 verify checks that G divides A and B exactly, then that G's univariate image
-matches the GCD of A's and B's at random points (engine.check_gcd_image),
-which no proper divisor passes, and compares with the dense oracle when the
-instance fits its budget.
+matches the GCD of A's and B's at random points drawn from seed 0, or from
+SPGCD_SEED when it is set (engine.check_gcd_image), which no proper divisor
+passes, and compares with the dense oracle when the instance fits its budget.
 
 --seed falls back to the SPGCD_SEED environment variable.  --omega pins the
 shift element, which needs multiplicative order > 2d (d the largest partial
@@ -154,7 +154,7 @@ def cmd_verify(args) -> int:
         field_g, G = polyfile.read(args.file_g)
         field_a, A = polyfile.read(args.file_a)
         field_b, B = polyfile.read(args.file_b)
-        rng = random.Random(_resolve_seed(None))
+        rng = random.Random(_resolve_seed(None) or 0)  # seed 0 unless SPGCD_SEED: the same lines on every run
     except (InvalidInput, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

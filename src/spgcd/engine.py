@@ -11,8 +11,10 @@ Stage IV   evaluate the whole (n+1) x 2T grid as two arrays of image rows
            and take their monic univariate GCDs as one batch, scaled so
            every image is an exact evaluation of the target layers;
 Stage V    sparse-interpolate all layers as one batch, each on nodes shared
-           by all its grid rows;
-Stage VI   sum the layers, strip the monomial content, normalize lex-monic.
+           by all its grid rows, into one polynomial holding every layer's
+           terms;
+Stage VI   add the top layer's one term in one canonicalisation, strip
+           the monomial content, normalize lex-monic.
 
 The grid.  Row 0 takes images at alpha^i, row k + 1 at alpha^i with
 coordinate k multiplied by omega once, i = 1..2T.  With c x^u y^t the GCD's
@@ -419,17 +421,16 @@ def _run_primitive(field: PrimeField, A, B, d: int, D: int, cfg: GcdConfig, rng,
     t0 = time.perf_counter()
     trace.lanes["V"] = E3.kernel.lane
     try:
-        layers, rounds = interpolate(E3, LayerGrids(alpha, omega, bounds, values), 2 * d, rng)
+        poly, rounds = interpolate(E3, LayerGrids(alpha, omega, bounds, values), 2 * d, rng)
     except InterpolationError as exc:
         trace.split_rounds.append(exc.rounds)
         raise _StageFailure("V", f"layer y^{layer_ydegs[exc.layer]}: {exc}") from exc
     trace.split_rounds.append(rounds)
-    layers.append(SparsePoly(n, (E3.one,), ((d,) * n,)))
     trace.timings["V"] = trace.timings.get("V", 0.0) + time.perf_counter() - t0
 
-    # Stage VI: assemble, strip monomial content, normalize
+    # Stage VI: add the top layer, L's term x^(d,...,d), strip monomial content, normalize
     t0 = time.perf_counter()
-    total = add_polys(E3, layers)
+    total = add_polys(E3, [poly, SparsePoly(n, (E3.one,), ((d,) * n,))])
     result = lex_monic(E3, monomial_primitive(total))
     if isinstance(E3, ExtField):
         if result.coeffs[:, 1:].any():

@@ -424,7 +424,7 @@ class ExtKernel(_Kernel):
     2^62); larger fields take the wide form (``wide``), on python ints.
     """
 
-    __slots__ = ("k", "zflat", "modulus", "frobenius")
+    __slots__ = ("k", "zflat", "frobenius")
 
     @staticmethod
     def fits(p: int, k: int) -> bool:
@@ -442,7 +442,7 @@ class ExtKernel(_Kernel):
         self.p, self.p_arr, self.k, self.shape, self.unit = p, np.array(p), k, (k,), zpow[0]
         self.lane, self.work = (LANE_WIDE, object) if wide else (LANE_FPK_KERNEL, np.int64)
         self.zflat = np.ascontiguousarray(zstack).reshape(k, k * k).astype(self.work)
-        self.modulus, self.frobenius = field.modulus, None  # a -> a^p, built by the first conjugate
+        self.frobenius = None  # a -> a^p, built by the first conjugate
 
     def matrices(self, a) -> np.ndarray:
         """Multiplication matrices (..., k, k) of the elements a (..., k)."""
@@ -463,9 +463,8 @@ class ExtKernel(_Kernel):
     def conjugate(self, x) -> np.ndarray:
         """x^p elementwise, an F_p-linear map of the coefficients."""
         if self.frobenius is None:  # column i holds z^(i p)
-            ring = ExtField(self.p, self.modulus)
-            zp = ring.pow_(tuple(np.roll(self.unit, 1).tolist()), self.p)
-            self.frobenius = self.powers(self.array([zp])[0], self.k - 1).T.copy()
+            zp = self.pow(np.roll(self.unit, 1), [self.p])[0]
+            self.frobenius = self.powers(zp, self.k - 1).T.copy()
         return self.apply(self.frobenius, x)
 
     def inv(self, x) -> np.ndarray:

@@ -20,8 +20,8 @@ row, one solve_transposed_vandermonde over every layer's rows, one
 discrete_log_bounded over every ratio, and one re-evaluation check.  That
 check evaluates each term's monomial at alpha (sparse._monomial_values),
 which must give back its node; with the solves and the recurrence check,
-the assembled polynomial then reproduces every row of its grid.  An
-EvalGrid is a batch of one.
+each layer's terms then reproduce every row of its grid.  The terms of
+all layers come back as one polynomial, canonicalised once.
 """
 
 from __future__ import annotations
@@ -37,31 +37,6 @@ from .sparse import SparsePoly, _monomial_values
 # Not called here; perfbench/run.py wraps interp.eval_at_powers by name.
 from .sparse import eval_at_powers  # noqa: F401
 from .unipoly import berlekamp_massey, find_roots, solve_transposed_vandermonde
-
-
-@dataclass(frozen=True)
-class EvalGrid:
-    """2T values of f at alpha^1..alpha^2T (base row) and, per variable k,
-    at the same points with the k-th coordinate multiplied by omega once
-    (shifted row k): row k is eval_at_powers of f with x_k -> omega * x_k."""
-
-    alpha: tuple
-    omega: object
-    T: int
-    base_row: tuple
-    shifted_rows: tuple
-
-    def __post_init__(self):
-        if self.T < 1:
-            raise InvalidInput("term bound must be >= 1")
-        want = 2 * self.T
-        if len(self.base_row) != want or any(len(r) != want for r in self.shifted_rows):
-            raise InvalidInput("all rows must have length 2T")
-
-    def batch(self) -> LayerGrids:
-        """This grid as a batch of one layer."""
-        rows = np.array((self.base_row,) + tuple(self.shifted_rows), dtype=np.int64)
-        return LayerGrids(self.alpha, self.omega, (self.T,), rows[None])
 
 
 @dataclass(frozen=True)
@@ -100,20 +75,20 @@ def _stray_rows(field, kern, lams, rows, ts, bounds) -> np.ndarray:
     return np.where(stray.any(axis=1), stray.argmax(axis=1), R)
 
 
-def interpolate(field: Field, grids, deg_bound: int, rng: random.Random | None = None):
-    """Rebuild the target polynomials of grids: one SparsePoly for an
-    EvalGrid; for LayerGrids (polys, rounds), one SparsePoly per layer and
-    find_roots' count of split rounds.
+def interpolate(field: Field, grids: LayerGrids, deg_bound: int, rng: random.Random | None = None):
+    """Rebuild the target polynomials of grids as (poly, rounds): poly is the
+    sum of every layer's polynomial, built by one SparsePoly.from_arrays, and
+    rounds is find_roots' count of split rounds.  The engine's layers have
+    disjoint monomials (a monomial fixes its y-degree), so poly holds each
+    layer's terms unchanged.
 
     An inconsistency raises one of the retryable InterpolationError
     subclasses, for the first failing layer in layer order: the error that
     layer's own grid raises, with the layer's index as ``layer`` and the
-    split rounds as ``rounds``.  A returned polynomial reproduces every row
-    of its grid, so it can differ from the target only when alpha gives two
+    split rounds as ``rounds``.  Each layer's terms reproduce every row of
+    its grid, so they can differ from the target only when alpha gives two
     of the target's monomials the same node.
     """
-    if isinstance(grids, EvalGrid):
-        return interpolate(field, grids.batch(), deg_bound, rng)[0][0]
     rng = rng or random.Random(0)
     kern, V, bounds = field.kernel, grids.values, grids.bounds
     L, R = V.shape[:2]
@@ -123,7 +98,6 @@ def interpolate(field: Field, grids, deg_bound: int, rng: random.Random | None =
     Lam = np.zeros((L, int(ts.max(initial=0)) + 1) + elt, dtype=np.int64)
     for l, lam in enumerate(lams):
         Lam[l, : len(lam)] = kern.array(lam)
-    polys = [SparsePoly.zero(n)] * L
     errors = {}
     # a layer that breaks its recurrence fails somewhere, and with a zero
     # base row right here; later layers cannot decide the error
@@ -169,12 +143,10 @@ def interpolate(field: Field, grids, deg_bound: int, rng: random.Random | None =
     match = np.ones(real.shape, dtype=bool)
     match[real] = ~nonzero(field, monomials - nodes[real])
     on = survivors(match.all(axis=1), lambda i: ReEvaluationFailed("assembled polynomial does not reproduce the base row"))
-    for l, c, e in zip(live[on], C[on], E[on]):
-        t = ts[l]
-        polys[l] = SparsePoly.from_arrays(field, e[:t], c[0, :t])
     if errors:
         l = min(errors)
         exc = errors[l]
         exc.layer, exc.rounds = l, rounds
         raise exc
-    return polys, rounds
+    # every live layer passed: its first ts[l] terms, base-row coefficients
+    return SparsePoly.from_arrays(field, E[real], C[:, 0][real]), rounds

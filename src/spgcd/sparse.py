@@ -190,10 +190,13 @@ def monomial_gcd(a: tuple, b: tuple) -> tuple:
 
 
 class HomoPoly:
-    """f with x_i -> x_i * y^(s_i), lowest y-degree y^0: the y-degree of
-    each term of f, in f's term order, as one read-only int64 array."""
+    """f with x_i -> x_i * y^(s_i), lowest y-degree y^0.  ydegs is the
+    y-degree of each term of f, in f's term order.  exps and coeffs hold
+    f's terms sorted by y-degree, by one stable sort, so each layer keeps
+    lex order: layer l is rows starts[l] up to starts[l + 1], of y-degree
+    layer_ydegs[l].  Every array is read-only int64."""
 
-    __slots__ = ("nvars", "s", "ydegs", "max_ydeg", "source")
+    __slots__ = ("nvars", "s", "ydegs", "max_ydeg", "exps", "coeffs", "starts", "layer_ydegs")
 
     def __init__(self, f: SparsePoly, s: tuple):
         if f.is_zero:
@@ -204,22 +207,26 @@ class HomoPoly:
         self.nvars = f.nvars
         self.s = tuple(s)
         self.ydegs = _frozen(dots - dots.min())
-        self.max_ydeg = int(self.ydegs.max())
-        self.source = f
+        order = np.argsort(self.ydegs, kind="stable")
+        ydegs = self.ydegs[order]
+        self.exps, self.coeffs = _frozen(f.exps[order]), _frozen(f.coeffs[order])
+        self.starts = _frozen(np.flatnonzero(np.r_[True, ydegs[1:] != ydegs[:-1]]))
+        self.layer_ydegs = _frozen(ydegs[self.starts])
+        self.max_ydeg = int(self.layer_ydegs[-1])
 
     @property
     def layers(self) -> tuple:
         """(y-degree, SparsePoly) per layer, lowest first, built on each
         access."""
-        f, ydegs = self.source, self.ydegs
+        bounds = self.starts.tolist() + [len(self.exps)]
         return tuple(
-            (yd, SparsePoly(f.nvars, f.coeffs[ydegs == yd], f.exps[ydegs == yd]))
-            for yd in np.unique(ydegs).tolist()
+            (yd, SparsePoly(self.nvars, self.coeffs[a:b], self.exps[a:b]))
+            for yd, a, b in zip(self.layer_ydegs.tolist(), bounds, bounds[1:])
         )
 
     def substitute_one(self, field: Field) -> SparsePoly:
         """Set y = 1: the sum of all layers recovers the source polynomial."""
-        return add_polys(field, [p for _, p in self.layers])
+        return SparsePoly.from_arrays(field, self.exps, self.coeffs)
 
 
 def homogenize(f: SparsePoly, s) -> HomoPoly:
@@ -333,36 +340,32 @@ class PowerImageEvaluator:
     are computed once, and grid reuses them for the sequences with one
     coordinate shifted.  The running values are the terms c_j M_j(beta)^i,
     so each image is one batched product, O(#F) multiplications, and one
-    reduceat over the terms sorted by y-degree, summed in the kernel's work
-    type so that residues near 2^62 cannot overflow."""
+    reduceat over the homogenized polynomial's y-degree segments (its
+    exps, coeffs and starts), summed in the kernel's work type so that
+    residues near 2^62 cannot overflow."""
 
     def __init__(self, field: Field, homo: HomoPoly, beta):
         self.kernel = kern = field.kernel
         self.width = homo.max_ydeg + 1
-        # terms sorted by y-degree, so image[ydeg] is one reduceat segment
-        order = np.argsort(homo.ydegs, kind="stable")
-        ydegs = homo.ydegs[order]
-        self.starts = np.flatnonzero(np.r_[True, ydegs[1:] != ydegs[:-1]])
-        self.segment_ydegs = ydegs[self.starts]
-        self.exps = homo.source.exps[order]
-        self.mvals = kern.matrices(_monomial_values(field, self.exps, beta))
-        self.coeffs = _in_field(field, homo.source.coeffs)[order]
+        self.homo = homo  # terms sorted by y-degree: image[ydeg] is one reduceat segment
+        self.mvals = kern.matrices(_monomial_values(field, homo.exps, beta))
+        self.coeffs = _in_field(field, homo.coeffs)
         self.running = self.coeffs
 
     def _starts(self, omega):
         """Running values at i = 0 of the sequences with x_k -> omega * x_k,
         one row per k: term j starts at c_j omega^(e_jk)."""
         kern = self.kernel
-        return kern.mul(self.coeffs, np.moveaxis(kern.pow(omega, self.exps), 1, 0))
+        return kern.mul(self.coeffs, np.moveaxis(kern.pow(omega, self.homo.exps), 1, 0))
 
     def _advance(self, running):
         return self.kernel.apply(self.mvals, running)
 
     def _images(self, running):
         """Images (rows, width[, k]) of running term values (rows, #F[, k])."""
-        sums = np.add.reduceat(running.astype(self.kernel.work, copy=False), self.starts, axis=1)
+        sums = np.add.reduceat(running.astype(self.kernel.work, copy=False), self.homo.starts, axis=1)
         out = np.zeros((len(running), self.width) + running.shape[2:], dtype=np.int64)
-        out[:, self.segment_ydegs] = sums % self.kernel.p
+        out[:, self.homo.layer_ydegs] = sums % self.kernel.p
         return out
 
     def next_images(self, count: int) -> np.ndarray:

@@ -8,13 +8,15 @@ import math
 import random
 import time
 
+import numpy as np
+
 from spgcd.bench import instance_seed, run_suite
 from spgcd.cli import main as cli_main
 from spgcd.engine import GcdConfig, gcd, primitive_gcd
 from spgcd.errors import GcdFailure, InterpolationError
 from spgcd.field import PrimeField
 from spgcd.instances import gen_triple, random_poly
-from spgcd.interp import EvalGrid, interpolate
+from spgcd.interp import LayerGrids, interpolate
 from spgcd.oracle import dense_gcd, sparse_mul
 from spgcd.sparse import (
     diversify,
@@ -176,14 +178,13 @@ def test_criterion_6_interpolation_round_trip():
         f = random_poly(FP, rng, n, terms, d, distinct_coeffs=True)
         alpha = tuple(FP.rand_unit(rng) for _ in range(n))
         T = f.n_terms
-        base = tuple(eval_at_powers(FP, f, alpha, 2 * T))
-        rows = []
+        rows = [eval_at_powers(FP, f, alpha, 2 * T)]
         for k in range(n):
             shift = tuple(STANDARD_OMEGA if i == k else 1 for i in range(n))
-            rows.append(tuple(eval_at_powers(FP, diversify(FP, f, shift), alpha, 2 * T)))
-        grid = EvalGrid(alpha, STANDARD_OMEGA, T, base, tuple(rows))
+            rows.append(eval_at_powers(FP, diversify(FP, f, shift), alpha, 2 * T))
+        grid = LayerGrids(alpha, STANDARD_OMEGA, (T,), np.array(rows, dtype=np.int64)[None])
         try:
-            got = interpolate(FP, grid, d, rng)
+            got, _ = interpolate(FP, grid, d, rng)
         except InterpolationError:
             continue
         if got == f:

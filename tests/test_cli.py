@@ -182,6 +182,21 @@ class TestVerifyCommand:
         assert "over F_101^" in capsys.readouterr().out
 
 
+    def test_same_lines_on_every_run(self, tmp_path, monkeypatch, capsys):
+        # the image check's points come from seed 0 when SPGCD_SEED is unset,
+        # so the images taken and the printed error bound repeat
+        monkeypatch.delenv("SPGCD_SEED", raising=False)
+        prefix = tmp_path / "ef"
+        assert run(["gen", "--n", "4", "--terms", "10", "--deg", "10", "--p", "1000003", "--seed", "1",
+                    "--out-prefix", str(prefix)]) == 0
+        capsys.readouterr()
+        outs = []
+        for _ in range(3):
+            assert run(["verify", f"{prefix}_G.poly", f"{prefix}_A.poly", f"{prefix}_B.poly"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert "error bound" in outs[0] and outs[1] == outs[0] and outs[2] == outs[0]
+
+
 class TestGenCommand:
     def test_triple_is_consistent(self, triple):
         field, A = polyfile.read(triple["A"])

@@ -13,6 +13,7 @@ import math
 import random
 import tracemalloc
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -102,6 +103,19 @@ def test_mul(data):
     kern = field.kernel
     got = field_elements(field, kern.mul(kern.array(a), kern.array(b)))
     assert got == [field.mul(x, y) for x, y in zip(a, b)]
+
+
+@pytest.mark.parametrize(
+    "p, k, lane", [(7, 3, LANE_FPK_KERNEL), (1000003, 3, LANE_FPK_KERNEL), (2**31 - 1, 2, LANE_WIDE)], ids=str
+)
+def test_conjugate_is_the_frobenius(p, k, lane):
+    # a fresh field each time, so conjugate builds its Frobenius matrix here
+    field = ext_field(p, k)
+    assert field.kernel.lane == lane
+    rng = random.Random(p)
+    xs = [field.zero, field.one, (0, 1) + (0,) * (k - 2)] + [field.rand_unit(rng) for _ in range(20)]
+    got = field_elements(field, field.kernel.conjugate(field.kernel.array(xs)))
+    assert got == [field.pow_(x, p) for x in xs]
 
 
 @PROPERTY

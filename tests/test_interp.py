@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from spgcd.errors import InterpolationError, LengthMismatch, NotAPower, RootDeficit
 from spgcd.field import ExtField, PrimeField, find_irreducible, shift_element
 from spgcd.instances import random_poly
-from spgcd.interp import EvalGrid, LayerGrids, interpolate
-from spgcd.sparse import SparsePoly, diversify, eval_at_powers
+from spgcd.interp import LayerGrids, interpolate
+from spgcd.sparse import SparsePoly, add_polys, diversify, eval_at_powers
 
 F7 = PrimeField(7)
 FP = PrimeField(10000019)
@@ -19,16 +19,20 @@ MAX_DEG = 8
 LANES = [(PrimeField(101), 2), (FP, 6), (F343, shift_element(F343, MAX_DEG, random.Random(0)))]
 
 
+def one_layer(alpha, omega, T, rows):
+    """The grid of one layer with term bound T: rows[0] the base row, rows[k + 1] shifted row k."""
+    return LayerGrids(tuple(alpha), omega, (T,), np.array(rows, dtype=np.int64)[None])
+
+
 def grid_for(field, f, alpha, omega, T):
     """Base row f(alpha^i); shifted row k is f with x_k -> omega * x_k at the
     same points, i = 1..2T."""
     n = f.nvars
-    base = tuple(eval_at_powers(field, f, alpha, 2 * T))
-    rows = []
+    rows = [eval_at_powers(field, f, alpha, 2 * T)]
     for k in range(n):
         shifted = diversify(field, f, tuple(omega if i == k else field.one for i in range(n)))
-        rows.append(tuple(eval_at_powers(field, shifted, alpha, 2 * T)))
-    return EvalGrid(alpha=tuple(alpha), omega=omega, T=T, base_row=base, shifted_rows=tuple(rows))
+        rows.append(eval_at_powers(field, shifted, alpha, 2 * T))
+    return one_layer(alpha, omega, T, rows)
 
 
 class TestWorkedExample:
@@ -36,19 +40,18 @@ class TestWorkedExample:
         # f = 2 x^3 over F_7, alpha = 3, omega = 3, T = 1, d = 6
         f = SparsePoly.from_terms(F7, 1, [(2, (3,))])
         g = grid_for(F7, f, (3,), 3, 1)
-        assert g.base_row == (5, 2)
-        assert g.shifted_rows == ((2, 5),)
-        assert interpolate(F7, g, 6, random.Random(0)) == f
+        assert g.values[0].tolist() == [[5, 2], [2, 5]]  # base row, shifted row 0
+        assert interpolate(F7, g, 6, random.Random(0))[0] == f
 
     def test_constant(self):
         f = SparsePoly.from_terms(F7, 3, [(4, (0, 0, 0))])
         g = grid_for(F7, f, (2, 3, 5), 3, 2)
-        assert interpolate(F7, g, 6, random.Random(0)) == f
+        assert interpolate(F7, g, 6, random.Random(0))[0] == f
 
     def test_zero(self):
         f = SparsePoly.zero(2)
-        g = EvalGrid((2, 3), 3, 2, (0,) * 4, ((0,) * 4, (0,) * 4))
-        assert interpolate(F7, g, 6, random.Random(0)) == f
+        g = one_layer((2, 3), 3, 2, [(0,) * 4] * 3)
+        assert interpolate(F7, g, 6, random.Random(0))[0] == f
 
 
 class TestRandomRecovery:
@@ -57,25 +60,25 @@ class TestRandomRecovery:
         f = random_poly(FP, rng, 3, 5, 50, distinct_coeffs=True)
         alpha = tuple(FP.rand_unit(rng) for _ in range(3))
         g = grid_for(FP, f, alpha, 6, 5)
-        assert interpolate(FP, g, 50, rng) == f
+        assert interpolate(FP, g, 50, rng)[0] == f
 
     def test_oversized_term_bound(self):
         rng = random.Random(2)
         f = random_poly(FP, rng, 2, 3, 20, distinct_coeffs=True)
         alpha = tuple(FP.rand_unit(rng) for _ in range(2))
         g = grid_for(FP, f, alpha, 6, 8)  # T larger than #f
-        assert interpolate(FP, g, 20, rng) == f
+        assert interpolate(FP, g, 20, rng)[0] == f
 
     def test_duplicate_coefficients(self):
         # terms match by node, not by coefficient, so equal coefficients are fine
         f = SparsePoly.from_terms(FP, 2, [(1, (1, 0)), (1, (0, 1))])  # x1 + x2
         g = grid_for(FP, f, (17, 23), 6, 2)
-        assert interpolate(FP, g, 5, random.Random(3)) == f
+        assert interpolate(FP, g, 5, random.Random(3))[0] == f
         rng = random.Random(11)
         support = random_poly(FP, rng, 3, 8, 20)
         f = SparsePoly.from_terms(FP, 3, [(42, e) for e in support.exps])
         alpha = tuple(FP.rand_unit(rng) for _ in range(3))
-        assert interpolate(FP, grid_for(FP, f, alpha, 6, 8), 20, rng) == f
+        assert interpolate(FP, grid_for(FP, f, alpha, 6, 8), 20, rng)[0] == f
 
 
 class TestFailureModes:
@@ -89,14 +92,14 @@ class TestFailureModes:
     def test_row_degree_mismatch(self):
         f = SparsePoly.from_terms(FP, 1, [(3, (2,))])
         other = SparsePoly.from_terms(FP, 1, [(3, (2,)), (5, (1,))])
-        base = tuple(eval_at_powers(FP, f, (99,), 4))
-        row = tuple(eval_at_powers(FP, diversify(FP, other, (6,)), (99,), 4))
-        g = EvalGrid((99,), 6, 2, base, (row,))
+        base = eval_at_powers(FP, f, (99,), 4)
+        row = eval_at_powers(FP, diversify(FP, other, (6,)), (99,), 4)
+        g = one_layer((99,), 6, 2, [base, row])
         with pytest.raises(LengthMismatch):
             interpolate(FP, g, 10, random.Random(5))
 
     def test_zero_base_nonzero_shift(self):
-        g = EvalGrid((3,), 6, 1, (0, 0), ((1, 2),))
+        g = one_layer((3,), 6, 1, [(0, 0), (1, 2)])
         with pytest.raises(LengthMismatch):
             interpolate(FP, g, 5, random.Random(6))
 
@@ -104,7 +107,7 @@ class TestFailureModes:
         from spgcd.errors import RootDeficit
 
         # v = [1, 0, -1, 0]: minimal polynomial z^2 + 1, irreducible over F_7
-        g = EvalGrid((3,), 3, 2, (1, 0, 6, 0), ((1, 0, 6, 0),))
+        g = one_layer((3,), 3, 2, [(1, 0, 6, 0)] * 2)
         with pytest.raises(RootDeficit):
             interpolate(F7, g, 5, random.Random(7))
 
@@ -117,7 +120,7 @@ class TestRowAgreement:
             f = random_poly(FP, rng, n, rng.randint(1, 8), 30, distinct_coeffs=True)
             alpha = tuple(FP.rand_unit(rng) for _ in range(n))
             g = grid_for(FP, f, alpha, 6, 8)
-            assert interpolate(FP, g, 30, rng) == f
+            assert interpolate(FP, g, 30, rng)[0] == f
 
 
 @st.composite
@@ -145,19 +148,20 @@ class TestProperty:
         field, omega, f, d, slack, seed = case
         rng = random.Random(seed)
         alpha = tuple(field.rand_unit(rng) for _ in range(f.nvars))
-        grid = grid_for(field, f, alpha, omega, f.n_terms + slack)
+        T = f.n_terms + slack
+        grid = grid_for(field, f, alpha, omega, T)
         nodes = {eval_at_powers(field, SparsePoly(f.nvars, (field.one,), (e,)), alpha, 1)[0]
                  for e in f.exps}
         separated = len(nodes) == f.n_terms
         try:
-            got = interpolate(field, grid, d, rng)
+            got, _ = interpolate(field, grid, d, rng)
         except InterpolationError:
             assert not separated
             return
         if separated:
             assert got == f
         else:
-            assert grid_for(field, got, alpha, omega, grid.T) == grid
+            assert np.array_equal(grid_for(field, got, alpha, omega, T).values, grid.values)
 
 
 # Fields at the lane thresholds, each with a shift element whose order
@@ -194,11 +198,11 @@ def planted_layer(field, rng, alpha, bound, terms):
 def batch_of(field, alpha, omega, grids):
     """LayerGrids holding the rows of single-layer grids, zero-padded to the
     widest, as the engine lays them out."""
-    width = 2 * max(g.T for g in grids)
+    width = max(g.values.shape[2] for g in grids)
     values = np.zeros((len(grids), len(alpha) + 1, width) + (() if field.k == 1 else (field.k,)), dtype=np.int64)
     for l, g in enumerate(grids):
-        values[l, :, : 2 * g.T] = g.batch().values[0]
-    return LayerGrids(alpha, omega, tuple(g.T for g in grids), values)
+        values[l, :, : g.values.shape[2]] = g.values[0]
+    return LayerGrids(alpha, omega, tuple(T for g in grids for T in g.bounds), values)
 
 
 class TestBatch:
@@ -213,9 +217,10 @@ class TestBatch:
             fs = [planted_layer(field, rng, alpha, bound, rng.randint(1, 5)) for _ in range(rng.randint(1, 6))]
             grids = [grid_for(field, f, alpha, omega, f.n_terms + rng.randint(0, 1)) for f in fs]
             got, rounds = interpolate(field, batch_of(field, alpha, omega, grids), bound, rng)
-            assert got == fs
+            singles = [interpolate(field, g, bound, rng)[0] for g in grids]
+            assert singles == fs
+            assert got == add_polys(field, singles) == add_polys(field, fs)
             assert rounds >= (max(f.n_terms for f in fs) > 1)
-            assert [interpolate(field, g, bound, rng) for g in grids] == fs
 
     def test_first_failing_layer_decides(self):
         rng = random.Random(21)
@@ -225,12 +230,12 @@ class TestBatch:
         batch = batch_of(FP, alpha, omega, grids)
         # layer 2 breaks its recurrence in shifted row 1; layer 1's shifted
         # row 0 is scaled by a non-power of omega
-        batch.values[2, 2, 2 * grids[2].T - 1] += 1
+        batch.values[2, 2, 2 * grids[2].bounds[0] - 1] += 1
         batch.values[1, 1] = batch.values[1, 1] * 1234567 % FP.p
         with pytest.raises(NotAPower) as info:
             interpolate(FP, batch, 10, rng)
         assert info.value.layer == 1
-        batch.values[1, 1, : 2 * grids[1].T] = grids[1].batch().values[0, 1]
+        batch.values[1, 1, : 2 * grids[1].bounds[0]] = grids[1].values[0, 1]
         with pytest.raises(LengthMismatch, match="row 1 does not follow") as info:
             interpolate(FP, batch, 10, rng)
         assert info.value.layer == 2
@@ -239,7 +244,7 @@ class TestBatch:
         # layer 1's base row [1, 0, -1, 0] has minimal polynomial z^2 + 1,
         # irreducible over F_7; layer 0 is a planted x^3
         ok = grid_for(F7, SparsePoly.from_terms(F7, 1, [(2, (3,))]), (3,), 3, 2)
-        bad = EvalGrid((3,), 3, 2, (1, 0, 6, 0), ((1, 0, 6, 0),))
+        bad = one_layer((3,), 3, 2, [(1, 0, 6, 0)] * 2)
         with pytest.raises(RootDeficit) as info:
             interpolate(F7, batch_of(F7, (3,), 3, [ok, bad]), 5, random.Random(7))
         assert info.value.layer == 1

@@ -355,6 +355,29 @@ class TestArraysAgainstTuples:
         assert h.max_ydeg == max(ydegs)
         assert [(yd, [(e, c) for c, e in g.terms()]) for yd, g in h.layers] == sorted(layers.items())
 
+    @pytest.mark.parametrize("field", ARRAY_FIELDS, ids=str)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(data=st.data())
+    def test_homogenized_layout(self, field, data):
+        # the starts/layer_ydegs segments of HomoPoly's arrays, concatenated,
+        # hold the source's terms once each: layers by rising y-degree, lex
+        # order within each layer
+        n, terms = data.draw(term_lists(field))
+        want = reference.canonical_terms(field, n, terms)
+        if not want:
+            return
+        s = data.draw(st.tuples(*[st.integers(1, 5)] * n))
+        h = homogenize(SparsePoly.from_terms(field, n, terms), s)
+        dots = reference.weighted_degrees(want, s)
+        expected = sorted(((d - min(dots), e), c) for (e, c), d in zip(want, dots))
+        assert h.starts[0] == 0 and np.all(np.diff(h.starts) > 0) and np.all(np.diff(h.layer_ydegs) > 0)
+        ends = h.starts.tolist()[1:] + [len(h.exps)]
+        got = []
+        for yd, a, b in zip(h.layer_ydegs.tolist(), h.starts.tolist(), ends):
+            for e, c in zip(h.exps[a:b].tolist(), h.coeffs[a:b].tolist()):
+                got.append(((yd, tuple(e)), tuple(c) if isinstance(c, list) else c))
+        assert got == expected
+
     @pytest.mark.parametrize("field", ARRAY_FIELDS[:4], ids=str)
     @settings(max_examples=40, deadline=None, database=None)
     @given(data=st.data())
@@ -372,7 +395,7 @@ class TestArraysAgainstTuples:
         for c, e in f.terms():
             assert all(type(x) is int for x in (c if isinstance(c, tuple) else (c,)) + e)
         h = homogenize(f, (1, 2))
-        for a in (f.exps, f.coeffs, h.ydegs):
+        for a in (f.exps, f.coeffs, h.ydegs, h.exps, h.coeffs, h.starts, h.layer_ydegs):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0
