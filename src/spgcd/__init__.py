@@ -6,7 +6,7 @@ termination on Hankel determinants, and recovers the layers with a
 Ben-Or/Tiwari interpolation driven by univariate GCD images.
 """
 
-from .engine import GcdConfig, StageTrace, TermBounds, gcd, hankel_first_singular, primitive_gcd
+from .engine import GcdConfig, StageTrace, TermBounds, gcd, primitive_gcd
 from .errors import GcdFailure, InterpolationError, InvalidInput, SpgcdError
 from .field import ExtField, PrimeField, discrete_log_bounded, find_irreducible
 from .interp import LayerGrids, interpolate
@@ -56,7 +56,6 @@ __all__ = [
     "find_irreducible",
     "find_roots",
     "gcd",
-    "hankel_first_singular",
     "has_max_isolated_term",
     "homogenize",
     "interpolate",

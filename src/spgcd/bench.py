@@ -18,6 +18,9 @@ from .errors import GcdFailure
 from .field import PrimeField
 from .instances import gen_triple
 
+STANDARD_PRIME = 10000019
+STANDARD_OMEGA = 6
+
 CSV_HEADER = ["suite", "n", "terms", "degree", "seed", "wall_ms", "retries", "success"]
 
 DESK_POINTS = {
@@ -65,6 +68,14 @@ class BenchRow:
         ]
 
 
+def default_omega(omega, p: int):
+    """omega when given, else the standard shift element at the standard
+    prime and None (drawn in an extension field) at every other prime."""
+    if omega is not None:
+        return omega
+    return STANDARD_OMEGA if p == STANDARD_PRIME else None
+
+
 def instance_seed(base_seed: int, point: int, index: int) -> int:
     return (base_seed * 1_000_003 + point) * 1_000 + index
 
@@ -95,7 +106,7 @@ def run_point(suite, n, terms, deg, field, omega, base_seed, per_point, epsilon,
 def run_suite(
     suite: str,
     *,
-    p: int = 10000019,
+    p: int = STANDARD_PRIME,
     points=None,
     per_point: int = 5,
     seed: int = 0,
@@ -110,8 +121,7 @@ def run_suite(
     if suite not in ("terms", "vars", "degree"):
         raise ValueError(f"unknown suite {suite!r}")
     field = PrimeField(p)
-    if omega is None and p == 10000019:
-        omega = 6
+    omega = default_omega(omega, p)
     shape = dict(DEFAULT_SHAPE[suite])
     points = list(points) if points is not None else list(
         (FULL_POINTS if full_scale else DESK_POINTS)[suite]

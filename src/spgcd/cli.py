@@ -32,9 +32,6 @@ from .instances import gen_triple
 from .oracle import dense_gcd, divides_exactly
 from .sparse import lex_monic
 
-STANDARD_PRIME = 10000019
-STANDARD_OMEGA = 6
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_GCD_FAILURE = 2
@@ -46,12 +43,6 @@ def _resolve_seed(value):
         return value
     env = os.environ.get("SPGCD_SEED")
     return int(env) if env else None
-
-
-def _resolve_omega(value, p):
-    if value is not None:
-        return value
-    return STANDARD_OMEGA if p == STANDARD_PRIME else None
 
 
 def _add_engine_flags(sub):
@@ -89,7 +80,7 @@ def cmd_gcd(args) -> int:
         seed=seed,
         max_retries=args.retries,
         term_strategy=args.term_strategy,
-        omega=_resolve_omega(args.omega, field_a.p),
+        omega=bench.default_omega(args.omega, field_a.p),
     )
     try:
         G, _trace = gcd(field_a, A, B, cfg)
@@ -204,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, required=True, help="number of variables")
     s.add_argument("--terms", type=int, required=True, help="terms per factor")
     s.add_argument("--deg", type=int, required=True, help="total degree bound")
-    s.add_argument("--p", type=int, default=STANDARD_PRIME, help="prime modulus")
+    s.add_argument("--p", type=int, default=bench.STANDARD_PRIME, help="prime modulus")
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--out-prefix", required=True, help="writes <prefix>_{A,B,G}.poly")
     s.set_defaults(func=cmd_gen)
@@ -214,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--csv", required=True, help="output CSV path")
     s.add_argument("--points", default=None, help="comma-separated sweep points")
     s.add_argument("--per-point", type=int, default=5, help="instances per point")
-    s.add_argument("--p", type=int, default=STANDARD_PRIME)
+    s.add_argument("--p", type=int, default=bench.STANDARD_PRIME)
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--omega", type=int, default=None)
     s.add_argument("--term-strategy", choices=["doubling", "linear"], default="linear")

@@ -197,15 +197,6 @@ def _hankel_singular_rows(field: Field, values: np.ndarray, size: int) -> np.nda
     return singular
 
 
-def hankel_first_singular(field: Field, values, T: int):
-    """Smallest s <= T with det HK_s = 0, or None when all are nonsingular."""
-    values = field.kernel.array(values)[None] % field.p
-    for s in range(1, min(T, (values.shape[1] + 1) // 2) + 1):
-        if _hankel_singular_rows(field, values, s)[0]:
-            return s
-    return None
-
-
 # ---------------------------------------------------------------------------
 # stage machinery
 # ---------------------------------------------------------------------------
@@ -546,7 +537,7 @@ def check_gcd_image(field: PrimeField, A: SparsePoly, B: SparsePoly, G: SparsePo
     r = max(1, math.ceil(math.log(epsilon) / math.log(b)))
     for i in range(1, r + 1):
         beta = tuple(E.rand_unit(rng) for _ in range(A.nvars))
-        U, V, W = (PowerImageEvaluator(E, h, beta).next_image() for h in homos)
-        if np.array_equal(monic_gcd(E, U, V), monic_gcd(E, W, W[:0])):  # gcd(W, 0) is W made monic
+        U, V, W = (PowerImageEvaluator(E, h, beta).next_images(1) for h in homos)
+        if np.array_equal(monic_gcd(E, U, V)[0], monic_gcd(E, W, W[:, :0])[0]):  # gcd(W, 0) is W made monic
             return True, i, E, b**r
     return False, r, E, b**r

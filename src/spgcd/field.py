@@ -22,7 +22,7 @@ import random
 
 import numpy as np
 
-from .errors import DivisionByZero, InvalidInput, NotAPower
+from .errors import DivisionByZero, InvalidInput
 
 MAX_MODULUS = 1 << 62  # products of two residues must fit double-width integers
 NP_MAX_P = 1 << 30  # F_p numpy lane: two scaled subtractions must stay inside int64
@@ -335,8 +335,21 @@ class _Kernel:
             e >>= 1
         return out
 
-    def sum(self, x, axis: int) -> np.ndarray:
-        """Sum of the elements along axis (an axis before the element axes)."""
+    def batch(self, a, axes: int, name: str) -> np.ndarray:
+        """a as an int64 array of axes batch axes before the element axes;
+        any other shape raises InvalidInput."""
+        a = np.asarray(a, dtype=np.int64)
+        if a.ndim != axes + len(self.shape):
+            raise InvalidInput(f"{name} must be an int64 batch with {axes} axes before the element axes")
+        return a
+
+    def sum(self, x, axis: int, starts=None) -> np.ndarray:
+        """Sum of the elements along axis (an axis before the element axes),
+        or with starts the sums of the segments of that axis that begin at
+        starts (np.add.reduceat), formed in the kernel's work type."""
+        if starts is not None:
+            x = np.add.reduceat(x.astype(self.work, copy=False), starts, axis=axis)
+            return np.asarray(x % self.p, dtype=np.int64)
         if self.work is object:
             return np.asarray(x.astype(object).sum(axis=axis) % self.p, dtype=np.int64)
         return x.sum(axis=axis) % self.p
@@ -566,22 +579,16 @@ def shift_element(field: Field, bound: int, rng: random.Random):
             return g
 
 
-def discrete_log_bounded(field: Field, omega, target, bound: int):
-    """Smallest e in [0, bound] with omega^e = target, by baby-step/giant-step.
-
-    One target: raises NotAPower when no such exponent exists.  A batch: an
-    int64 array of elements ((N,) over F_p, (N, k) over F_{p^k}) gives an
-    int64 array of N exponents, -1 where none exists; all targets take the
-    giant steps together and are looked up in the baby table at once.
-    """
+def discrete_log_bounded(field: Field, omega, target, bound: int) -> np.ndarray:
+    """Smallest e in [0, bound] with omega^e = target, by baby-step/giant-step,
+    for a batch of targets: an int64 array of elements ((N,) over F_p, (N, k)
+    over F_{p^k}) gives an int64 array of N exponents, -1 where none exists.
+    All targets take the giant steps together and are looked up in the baby
+    table at once."""
     if bound < 0:
         raise InvalidInput("bound must be >= 0")
     kern = field.kernel
-    if not isinstance(target, np.ndarray):
-        e = int(discrete_log_bounded(field, omega, kern.array([target]), bound)[0])
-        if e < 0:
-            raise NotAPower(f"no exponent <= {bound} matches")
-        return e
+    target = kern.batch(target, 1, "target")
     m = math.isqrt(bound) + 1
     baby = kern.powers(kern.array([omega])[0], m)  # omega^0 .. omega^m
     giant = kern.inv(baby[m])

@@ -64,8 +64,8 @@ class SparsePoly:
     @classmethod
     def from_arrays(cls, field: Field, exps: np.ndarray, coeffs: np.ndarray) -> "SparsePoly":
         """Canonical construction from an exponent matrix and coefficients in
-        any order: one lexsort, one reduceat mod p over duplicate rows, then
-        the zeros dropped."""
+        any order: one lexsort, one segment sum on the field's kernel over
+        duplicate rows, then the zeros dropped."""
         if exps.size and (exps.min() < 0 or exps.max() >= EXP_LIMIT):
             raise InvalidInput("exponents must lie in [0, 2^62)")
         coeffs = _in_field(field, coeffs) % field.p
@@ -73,9 +73,7 @@ class SparsePoly:
         exps, coeffs = exps[order], coeffs[order]
         starts = np.flatnonzero(np.r_[True, (exps[1:] != exps[:-1]).any(axis=1)])
         if len(starts) < len(exps):
-            work = coeffs.astype(field.kernel.work)
-            coeffs = np.asarray(np.add.reduceat(work, starts, axis=0) % field.p, dtype=np.int64)
-            exps = exps[starts]
+            coeffs, exps = field.kernel.sum(coeffs, 0, starts), exps[starts]
         keep = nonzero(field, coeffs)
         return cls(exps.shape[1], coeffs[keep], exps[keep])
 
@@ -224,10 +222,6 @@ class HomoPoly:
             for yd, a, b in zip(self.layer_ydegs.tolist(), bounds, bounds[1:])
         )
 
-    def substitute_one(self, field: Field) -> SparsePoly:
-        """Set y = 1: the sum of all layers recovers the source polynomial."""
-        return SparsePoly.from_arrays(field, self.exps, self.coeffs)
-
 
 def homogenize(f: SparsePoly, s) -> HomoPoly:
     return HomoPoly(f, tuple(s))
@@ -340,14 +334,13 @@ class PowerImageEvaluator:
     are computed once, and grid reuses them for the sequences with one
     coordinate shifted.  The running values are the terms c_j M_j(beta)^i,
     so each image is one batched product, O(#F) multiplications, and one
-    reduceat over the homogenized polynomial's y-degree segments (its
-    exps, coeffs and starts), summed in the kernel's work type so that
-    residues near 2^62 cannot overflow."""
+    segment sum on the kernel over the homogenized polynomial's y-degree
+    segments (its exps, coeffs and starts)."""
 
     def __init__(self, field: Field, homo: HomoPoly, beta):
         self.kernel = kern = field.kernel
         self.width = homo.max_ydeg + 1
-        self.homo = homo  # terms sorted by y-degree: image[ydeg] is one reduceat segment
+        self.homo = homo  # terms sorted by y-degree: image[ydeg] sums one segment
         self.mvals = kern.matrices(_monomial_values(field, homo.exps, beta))
         self.coeffs = _in_field(field, homo.coeffs)
         self.running = self.coeffs
@@ -363,9 +356,8 @@ class PowerImageEvaluator:
 
     def _images(self, running):
         """Images (rows, width[, k]) of running term values (rows, #F[, k])."""
-        sums = np.add.reduceat(running.astype(self.kernel.work, copy=False), self.homo.starts, axis=1)
         out = np.zeros((len(running), self.width) + running.shape[2:], dtype=np.int64)
-        out[:, self.homo.layer_ydegs] = sums % self.kernel.p
+        out[:, self.homo.layer_ydegs] = self.kernel.sum(running, 1, self.homo.starts)
         return out
 
     def next_images(self, count: int) -> np.ndarray:

@@ -1,26 +1,25 @@
 """Dense univariate polynomial arithmetic over the active field.
 
-Polynomials are coefficient vectors, low degree first, no trailing zeros:
-lists of field elements, or int64 arrays ((len,) over F_p, (len, k) over
-F_{p^k}).  berlekamp_massey takes field elements.  monic_gcd, root finding
-and the transposed Vandermonde solve take one polynomial (or pair, or
-system), or a batch of them as int64 arrays, and run on the field's kernel
-(``field.kernel``), so on every lane alike: the F_p and F_{p^k} kernels,
-and the wide kernels on python ints past their bounds.  A batch of root
-findings shares one _Moduli, which keeps one row per polynomial, each its
-own modulus.
+Polynomials are coefficient vectors, low degree first.  berlekamp_massey
+takes one sequence of field elements.  monic_gcd, root finding and the
+transposed Vandermonde solve take only batches: int64 arrays of residues
+with one polynomial (or pair, or system) per row, zero-padded to one width
+((N, width) over F_p, (N, width, k) over F_{p^k}), and give batches back.
+They run on the field's kernel (``field.kernel``), so on every lane alike:
+the F_p and F_{p^k} kernels, and the wide kernels on python ints past their
+bounds.  A batch of root findings shares one _Moduli, which keeps one row
+per polynomial, each its own modulus.
 
-monic_gcd has one Euclid for one pair and for a batch of pairs: a single
-pair is a batch of one row.  The rows of a batch run in lockstep, since at
-generic points they share one remainder degree sequence.  On int64
-residues of F_p (element shape (), no wide products), while degrees are
-_BLOCK_MIN_DEG or more, a block phase extracts quotients from a window of
-the top coefficients of all rows at once (they agree with the true
-quotients while remainder degrees stay in the window's upper half) and
-applies each row's 2x2 transition matrix to its full vectors by FFT.
-Below it, and on every other kernel, the Euclid runs on the whole rows
-with the kernel's unreduced products (``product``) and one reduction per
-step (``reduce``).  Both phases are inverse-free: with c the divisor's
+monic_gcd has one Euclid for every row of a batch.  The rows run in
+lockstep, since at generic points they share one remainder degree
+sequence.  On int64 residues of F_p (element shape (), no wide products),
+while degrees are _BLOCK_MIN_DEG or more, a block phase extracts quotients
+from a window of the top coefficients of all rows at once (they agree with
+the true quotients while remainder degrees stay in the window's upper
+half) and applies each row's 2x2 transition matrix to its full vectors by
+FFT.  Below it, and on every other kernel, the Euclid runs on the whole
+rows with the kernel's unreduced products (``product``) and one reduction
+per step (``reduce``).  Both phases are inverse-free: with c the divisor's
 leading coefficient, one pass r0 <- c^2 r0 - (y q1 + q0) y^s r1 cancels
 two quotient coefficients (so a quotient of degree one takes one pass), a
 last single one takes r0 <- c r0 - a r1, each product lies in [0, 2^62) so
@@ -38,28 +37,14 @@ import random
 
 import numpy as np
 
-from .errors import InvalidInput, RootDeficit, SingularSystem
-from .field import ExtField, Field, elements, nonzero
+from .errors import InvalidInput
+from .field import Field, nonzero
 
 _FFT_MAX_P = 1 << 24  # 8-bit digit split keeps FFT rounding below 1/4
 _FFT_MIN_SIZE = 24_000  # MAC count under which np.convolve wins
 _BLOCK_H = 512  # Lehmer window half-size
 _BLOCK_MIN_DEG = 3 * _BLOCK_H  # no block phase below this degree
 _LOCKSTEP_ENTRIES = 1 << 16  # rows x width of one lockstep batch, rows x table of one _Moduli product
-
-
-def trim(f):
-    """Drop trailing zeros (works on lists and 1-d int arrays)."""
-    n = len(f)
-    while n > 0 and not _nonzero(f[n - 1]):
-        n -= 1
-    return f[:n]
-
-
-def _nonzero(c) -> bool:
-    if isinstance(c, tuple):
-        return any(c)
-    return bool(c)
 
 
 def _power(mul, one, base, e: int):
@@ -76,7 +61,7 @@ def _power(mul, one, base, e: int):
 
 
 # ---------------------------------------------------------------------------
-# One Euclid for one pair or many, on the field's kernel
+# One Euclid for a batch of pairs, on the field's kernel
 # ---------------------------------------------------------------------------
 
 
@@ -358,28 +343,19 @@ def _monic_gcd_alone(kern, u, v):
     return G[0]
 
 
-def monic_gcd(field: Field, u, v):
-    """Monic generator of the ideal (u, v), for one pair or for a batch.
-
-    One pair: lists of field elements, or int64 arrays ((len,) over F_p,
-    (len, k) over F_{p^k}); returns the same kind.  Not both may be zero.
-
-    A batch: two int64 arrays whose rows are coefficient vectors of
-    residues, low degree first, one pair per row: (N, width) over F_p,
-    (N, width, k) over F_{p^k}.  Returns (G, lockstep): G holds the gcds
-    zero-padded to one width, and lockstep counts the rows that finished in
-    the shared pass (those whose leading coefficients are nonzero and whose
-    remainder degrees never left the batch's).  No pair of rows may be both
-    zero."""
+def monic_gcd(field: Field, U, V):
+    """Monic generators of the ideals (u, v), one pair (u, v) per row of U
+    and V: int64 arrays whose rows are coefficient vectors of residues, low
+    degree first, (N, width) over F_p and (N, width, k) over F_{p^k}.
+    Returns (G, lockstep): G holds the gcds zero-padded to one width, and
+    lockstep counts the rows that finished in the shared pass (those whose
+    leading coefficients are nonzero and whose remainder degrees never left
+    the batch's).  No pair of rows may be both zero."""
     kern = field.kernel
-    if isinstance(u, np.ndarray) and u.ndim == 2 + len(kern.shape):
-        return _monic_gcd_rows(kern, u, v)
-    g = _monic_gcd_alone(kern, kern.array(u) % field.p, kern.array(v) % field.p)
-    return g if isinstance(u, np.ndarray) or isinstance(v, np.ndarray) else elements(field, g)
-
-
-def _monic_gcd_rows(kern, U, V):
+    U, V = kern.batch(U, 2, "U"), kern.batch(V, 2, "V")
     N = len(U)
+    if len(V) != N:
+        raise InvalidInput("U and V must hold one row per pair")
     if U.shape[1] < V.shape[1]:
         U, V = V, U
     done = {}
@@ -423,7 +399,7 @@ def berlekamp_massey(field: Field, seq):
         for i in range(1, L + 1):
             if i < len(C):
                 d = field.add(d, field.mul(C[i], seq[n - i]))
-        if not _nonzero(d):
+        if d == field.zero:
             m += 1
             continue
         coef = field.mul(d, field.inv(b))
@@ -493,20 +469,18 @@ class _Moduli:
     def _mulmod(self, a, b, reduce):
         kern = self.kern
         ab = kern.mul(a[:, :, None], b[:, None, :]).reshape((len(a), -1) + a.shape[2:])
-        c = np.add.reduceat(ab[:, self.order].astype(kern.work, copy=False), self.starts, axis=1) % kern.p
-        return kern.sum(kern.apply(reduce, np.asarray(c, dtype=np.int64)[:, None]), axis=2)
+        c = kern.sum(ab[:, self.order], 1, self.starts)
+        return kern.sum(kern.apply(reduce, c[:, None]), axis=2)
 
 
 def find_roots(field: Field, f, rng: random.Random):
-    """All roots of f in the field; f must be squarefree with every root in
-    the field, else RootDeficit is raised (a bad evaluation point upstream).
-
-    A batch: f an int64 array of nonzero polynomials, one per row, low
-    degree first and zero-padded: (N, width) over F_p, (N, width, k) over
-    F_{p^k}.  Returns (roots, split, rounds): split[r] tells whether f_r is
-    a product of distinct linear factors, roots (N, width - 1[, k]) then
-    holds its roots in the first deg f_r entries of row r, and rounds counts
-    the split rounds.
+    """All roots in the field of each polynomial of a batch: f an int64
+    array of nonzero polynomials, one per row, low degree first and
+    zero-padded, (N, width) over F_p and (N, width, k) over F_{p^k}.
+    Returns (roots, split, rounds): split[r] tells whether f_r is a product
+    of distinct linear factors, roots (N, width - 1[, k]) then holds its
+    roots in the first deg f_r entries of row r (else zeros), and rounds
+    counts the split rounds.
 
     Cantor-Zassenhaus (von zur Gathen & Gerhard, ch. 14) on all rows at
     once, on the field's kernel.  A linear row gives its root at once.
@@ -533,16 +507,8 @@ def find_roots(field: Field, f, rng: random.Random):
     f | y^q - y, and with b = y + delta (b = delta y in characteristic 2)
     y^q = y iff b^q = b, where b^q is w^2 b (the last trace term squared).
     """
-    if not (isinstance(f, np.ndarray) and f.ndim == 2 + isinstance(field, ExtField)):
-        f = trim(list(f))
-        if not f:
-            raise InvalidInput("zero polynomial")
-        roots, split, _ = find_roots(field, field.kernel.array(f)[None], rng)
-        if not split[0]:
-            raise RootDeficit(f"the degree-{len(f) - 1} polynomial does not split into distinct roots")
-        return elements(field, roots[0, : len(f) - 1])
     kern, p, q = field.kernel, field.p, field.order
-    F = np.asarray(f, dtype=np.int64) % p
+    F = kern.batch(f, 2, "f") % p
     N, width, elt = len(F), F.shape[1], F.shape[2:]
     support = nonzero(field, F)
     if not support.any(axis=1).all():
@@ -625,28 +591,17 @@ def find_roots(field: Field, f, rng: random.Random):
 
 
 def solve_transposed_vandermonde(field: Field, nodes, values):
-    """Solve sum_j c_j m_j^i = v_i for i = 1..t; nodes distinct and nonzero.
-
-    A batch: nodes an int64 array (L, t[, k]) of L node sets, each set's
-    nodes first and zeros after them, and values (L, R, t[, k]), R
+    """Solve sum_j c_j m_j^i = v_i for i = 1..t, for a batch of systems:
+    nodes an int64 array (L, t[, k]) of L node sets, each set's nodes
+    first and zeros after them, and values (L, R, t[, k]), R
     right-hand sides per set.  The R systems of a set share its master
     polynomial P = prod (z - m_j) and the quotients Q_j = P / (z - m_j)
     (Kaltofen & Yagati, ISSAC 1988): c_j = sum_i Q_ji v_(i+1) / (m_j
     Q_j(m_j)).  Returns the coefficients (L, R, t[, k]), zero at the
     padding; a repeated node gets zero coefficients.
     """
-    if not isinstance(nodes, np.ndarray):
-        t = len(nodes)
-        if len(values) < t:
-            raise InvalidInput("need at least t values")
-        if t == 0:
-            return []
-        if len(set(nodes)) != t or any(not _nonzero(m) for m in nodes):
-            raise SingularSystem("nodes must be distinct and nonzero")
-        kern = field.kernel
-        C = solve_transposed_vandermonde(field, kern.array(nodes)[None], kern.array(values[:t])[None, None])
-        return elements(field, C[0, 0])
     kern, p = field.kernel, field.p
+    nodes, values = kern.batch(nodes, 2, "nodes"), kern.batch(values, 3, "values")
     L, t, elt = nodes.shape[0], nodes.shape[1], nodes.shape[2:]
     lift = (1,) * len(elt)
     real = nonzero(field, nodes)

@@ -1,5 +1,11 @@
 """Test-side references, written on field elements one term at a time so
-that they share no code with the array kernels they check."""
+that they share no code with the array kernels they check; and, at the end,
+the array kernels on one input as a batch of one, for tests that state
+their cases one polynomial at a time."""
+
+from spgcd.engine import _hankel_singular_rows
+from spgcd.field import discrete_log_bounded, elements
+from spgcd.unipoly import find_roots, monic_gcd, solve_transposed_vandermonde
 
 
 def monomial(field, e, point):
@@ -118,3 +124,48 @@ def generic_monic_gcd(field, u, v):
         if len(r0) - 1 < d1:
             r0, r1 = r1, r0
     return monic(field, r0)
+
+
+# the array kernels on one input, as a batch of one row
+
+
+def one_row(field, f):
+    """A list of field elements as an int64 batch of one row."""
+    return field.kernel.array(f)[None] % field.p
+
+
+def gcd_one(field, u, v):
+    """monic_gcd of one pair of lists, as a list of field elements."""
+    G, _ = monic_gcd(field, one_row(field, u), one_row(field, v))
+    return elements(field, G[0])
+
+
+def roots_one(field, f, rng):
+    """find_roots of one polynomial f (a list, nonzero): its roots as a
+    list of field elements, or None when f is not a product of distinct
+    linear factors."""
+    roots, split, _ = find_roots(field, one_row(field, f), rng)
+    return elements(field, roots[0, : len(trim(f)) - 1]) if split[0] else None
+
+
+def solve_one(field, nodes, values):
+    """solve_transposed_vandermonde of one system on the t = len(nodes)
+    nodes and the first t values, as a list of field elements."""
+    t = len(nodes)
+    C = solve_transposed_vandermonde(field, one_row(field, nodes), one_row(field, values[:t])[None])
+    return elements(field, C[0, 0])
+
+
+def dlog_one(field, omega, target, bound):
+    """discrete_log_bounded of one target: an int, -1 when none matches."""
+    return int(discrete_log_bounded(field, omega, field.kernel.array([target]), bound)[0])
+
+
+def first_singular(field, values, T):
+    """The smallest s <= T with det HK_s = 0 for one sequence values, or
+    None when every HK_s is nonsingular, one _hankel_singular_rows per s."""
+    values = one_row(field, values)
+    for s in range(1, min(T, (values.shape[1] + 1) // 2) + 1):
+        if _hankel_singular_rows(field, values, s)[0]:
+            return s
+    return None

@@ -208,13 +208,17 @@ def test_criterion_7_worked_examples():
     from spgcd.sparse import SparsePoly
     from spgcd.unipoly import berlekamp_massey, find_roots, solve_transposed_vandermonde
 
+    def batch(values):
+        return np.array(values, dtype=np.int64)
+
     F7 = PrimeField(7)
     checks = []
     checks.append(F7.mul(3, 5) == 1 and F7.inv(3) == 5)
-    checks.append(discrete_log_bounded(F7, 3, 4, 6) == 4)
+    checks.append(discrete_log_bounded(F7, 3, batch([4]), 6).tolist() == [4])
     checks.append(berlekamp_massey(F7, [5, 2]) == [1, 1])
-    checks.append(sorted(find_roots(F7, [6, 2, 1], random.Random(0))) == [2, 3])
-    checks.append(solve_transposed_vandermonde(F7, [6], [5]) == [2])
+    roots, split, _ = find_roots(F7, batch([[6, 2, 1]]), random.Random(0))
+    checks.append(split.tolist() == [True] and sorted(roots[0].tolist()) == [2, 3])
+    checks.append(solve_transposed_vandermonde(F7, batch([[6]]), batch([[[5]]])).tolist() == [[[2]]])
     # weighted homogenization of 5 x1^3 x2 + 7 x1^5 x2^8 + 4 x1^9 x2^4
     F11 = PrimeField(11)
     G = SparsePoly.from_terms(F11, 2, [(5, (3, 1)), (7, (5, 8)), (4, (9, 4))])

@@ -240,6 +240,26 @@ class TestBench:
         assert len(rows) == 1 and rows[0].success
         assert rows[0].wall_ms < 1000.0
 
+    @pytest.mark.parametrize("p, omega", [(10000019, 6), (1000003, None)])
+    def test_gcd_and_run_suite_pick_one_default_omega(self, tmp_path, monkeypatch, p, omega):
+        import spgcd.bench as bench_mod
+        import spgcd.cli as cli_mod
+
+        picked = {}
+        for owner in (cli_mod, bench_mod):
+            def recording(field, A, B, cfg, name=owner.__name__, real=owner.gcd):
+                picked[name] = cfg.omega
+                return real(field, A, B, cfg)
+
+            monkeypatch.setattr(owner, "gcd", recording)
+        prefix = str(tmp_path / "inst")
+        assert run(["gen", "--p", str(p), "--n", "2", "--terms", "3", "--deg", "4",
+                    "--seed", "1", "--out-prefix", prefix]) == 0
+        assert run(["gcd", prefix + "_A.poly", prefix + "_B.poly", "-o", prefix + "_got.poly",
+                    "--seed", "1"]) == 0
+        assert run_suite("terms", p=p, points=[2], per_point=1, seed=1)[0].success
+        assert picked == {"spgcd.cli": omega, "spgcd.bench": omega}
+
     def test_time_limit_stops_sweep(self):
         rows = run_suite("terms", points=[2, 5, 10], per_point=1, seed=4, time_limit=0.0)
         assert {r.terms for r in rows} == {2}  # first point exceeded the limit

@@ -13,7 +13,6 @@ from spgcd.engine import (
     _ImageStream,
     _StageFailure,
     gcd,
-    hankel_first_singular,
     primitive_gcd,
 )
 from spgcd.errors import InvalidInput
@@ -29,6 +28,8 @@ from spgcd.instances import gen_triple, random_poly
 from spgcd.oracle import dense_gcd, divides_exactly, sparse_mul
 from spgcd.sparse import PowerImageEvaluator, SparsePoly, homogenize, lex_monic, monomial_primitive
 from spgcd.unipoly import monic_gcd
+
+from reference import first_singular
 
 F7 = PrimeField(7)
 F11 = PrimeField(11)
@@ -113,18 +114,18 @@ class TestHankel:
     def test_rank_one_sequence(self):
         # v_i = c * m^i: HK_2 = [[v1, v2], [v2, v3]] is singular
         vals = [3 * pow(2, i, 7) % 7 for i in range(1, 6)]
-        assert hankel_first_singular(F7, vals, 3) == 2
+        assert first_singular(F7, vals, 3) == 2
 
     def test_zero_sequence(self):
-        assert hankel_first_singular(F7, [0, 0, 0], 2) == 1
+        assert first_singular(F7, [0, 0, 0], 2) == 1
 
     def test_two_term_sequence(self):
         vals = [(pow(2, i, 7) + pow(3, i, 7)) % 7 for i in range(1, 6)]
-        assert hankel_first_singular(F7, vals, 3) == 3
+        assert first_singular(F7, vals, 3) == 3
 
     def test_not_yet(self):
         vals = [(pow(2, i, 101) + 5 * pow(3, i, 101)) % 101 for i in range(1, 4)]
-        assert hankel_first_singular(PrimeField(101), vals, 2) is None
+        assert first_singular(PrimeField(101), vals, 2) is None
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(data=st.data())
@@ -139,7 +140,7 @@ class TestHankel:
         assert singular[t] and not (t and singular[t - 1])
         as_array = field.kernel.array(vals)  # the engine's form
         assert [_hankel_singular_rows(field, as_array[None], s)[0] for s in range(1, t + 2)] == singular
-        assert hankel_first_singular(field, vals, t + 1) == singular.index(True) + 1
+        assert first_singular(field, vals, t + 1) == singular.index(True) + 1
 
     @pytest.mark.parametrize("field", HANKEL_FIELDS, ids=repr)
     @settings(max_examples=25, deadline=None, database=None)
@@ -184,8 +185,8 @@ class TestHankel:
         rng = random.Random(12)
         for t in range(6):
             vals = t_sparse_sequence(field, t, rng)
-            assert hankel_first_singular(field, vals, t + 1) == t + 1
-            assert hankel_first_singular(field, field.kernel.array(vals), t + 1) == t + 1
+            assert first_singular(field, vals, t + 1) == t + 1
+            assert first_singular(field, field.kernel.array(vals), t + 1) == t + 1
 
 
 class TestImageStream:
@@ -203,8 +204,8 @@ class TestImageStream:
         evs = [PowerImageEvaluator(FP, homogenize(f, (1, 1)), sigma) for f in (A, B)]
         images = []
         for i in range(1, count + 1):
-            g = monic_gcd(FP, *(ev.next_image() for ev in evs))
-            images.append(g * FP.pow_(sigma[0], i * self.D) % FP.p)
+            G, _ = monic_gcd(FP, *(ev.next_images(1) for ev in evs))
+            images.append(G[0] * FP.pow_(sigma[0], i * self.D) % FP.p)
         return images
 
     def stream(self, A, B, sigma):

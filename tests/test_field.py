@@ -1,9 +1,10 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
-from spgcd.errors import DivisionByZero, InvalidInput, NotAPower
+from spgcd.errors import DivisionByZero, InvalidInput
 from spgcd.field import (
     ExtField,
     PrimeField,
@@ -14,6 +15,8 @@ from spgcd.field import (
     multiplicative_order_exceeds,
     shift_element,
 )
+
+from reference import dlog_one
 
 
 class TestPrimeField:
@@ -211,19 +214,22 @@ class TestFactorize:
 class TestDiscreteLog:
     def test_examples(self):
         F = PrimeField(7)
-        assert discrete_log_bounded(F, 3, 4, 6) == 4  # 3^4 = 81 = 4 mod 7
-        assert discrete_log_bounded(F, 3, 1, 6) == 0
-        with pytest.raises(NotAPower):
-            discrete_log_bounded(F, 3, 5, 2)  # 3^5 = 5 but 5 > bound
+        assert dlog_one(F, 3, 4, 6) == 4  # 3^4 = 81 = 4 mod 7
+        assert dlog_one(F, 3, 1, 6) == 0
+        assert dlog_one(F, 3, 5, 2) == -1  # 3^5 = 5 but 5 > bound
+        got = discrete_log_bounded(F, 3, np.array([4, 1, 5, 0]), 6)
+        assert got.tolist() == [4, 0, 5, -1]  # 0 is no power
+        with pytest.raises(InvalidInput):
+            discrete_log_bounded(F, 3, 4, 6)
 
     def test_exhaustive_small_bound(self):
         F = PrimeField(2003)
         omega = 5  # a generator of F_2003
         for e in range(0, 1001, 7):
-            assert discrete_log_bounded(F, omega, F.pow_(omega, e), 1000) == e
+            assert dlog_one(F, omega, F.pow_(omega, e), 1000) == e
 
     def test_extension_field(self):
         E = ExtField(5, (2, 0, 1))
         w = shift_element(E, 20, random.Random(6))
         for e in (0, 1, 5, 17):
-            assert discrete_log_bounded(E, w, E.pow_(w, e), 20) == e
+            assert dlog_one(E, w, E.pow_(w, e), 20) == e

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spgcd.errors import InterpolationError, LengthMismatch, NotAPower, RootDeficit
+from spgcd.errors import InterpolationError, LengthMismatch, NotAPower, RootDeficit, SingularSystem
 from spgcd.field import ExtField, PrimeField, find_irreducible, shift_element
 from spgcd.instances import random_poly
 from spgcd.interp import LayerGrids, interpolate
@@ -248,3 +248,12 @@ class TestBatch:
         with pytest.raises(RootDeficit) as info:
             interpolate(F7, batch_of(F7, (3,), 3, [ok, bad]), 5, random.Random(7))
         assert info.value.layer == 1
+
+    def test_zero_node_in_a_batch(self):
+        # layer 1's base row [1, 0, 0, 0] has minimal polynomial z, whose
+        # root 0 is no node; layer 0 is a planted x^3
+        ok = grid_for(F7, SparsePoly.from_terms(F7, 1, [(2, (3,))]), (3,), 3, 2)
+        bad = one_layer((3,), 3, 2, [(1, 0, 0, 0)] * 2)
+        with pytest.raises(SingularSystem) as info:
+            interpolate(F7, batch_of(F7, (3,), 3, [ok, bad]), 5, random.Random(7))
+        assert info.value.layer == 1 and info.value.rounds == 0

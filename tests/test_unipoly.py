@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from spgcd.errors import InvalidInput, RootDeficit, SingularSystem
+from spgcd.errors import InvalidInput
 from spgcd.field import ExtField, PrimeField
 from spgcd.unipoly import (
     berlekamp_massey,
@@ -12,7 +12,7 @@ from spgcd.unipoly import (
     solve_transposed_vandermonde,
 )
 
-from reference import generic_monic_gcd, monic, poly_divmod, poly_mul
+from reference import gcd_one, generic_monic_gcd, monic, poly_divmod, poly_mul, roots_one, solve_one
 
 F7 = PrimeField(7)
 F101 = PrimeField(101)
@@ -27,20 +27,20 @@ def rand_coeffs(field, deg, rng):
 class TestMonicGcd:
     def test_shared_root(self):
         # gcd(y^2 - 1, y - 1) = y + 6 over F_7
-        assert monic_gcd(F7, [6, 0, 1], [6, 1]) == [6, 1]
+        assert gcd_one(F7, [6, 0, 1], [6, 1]) == [6, 1]
 
     def test_gcd_with_zero(self):
-        assert monic_gcd(F7, [2, 4], []) == [4, 1]
-        assert monic_gcd(F7, [], [3]) == [1]
+        assert gcd_one(F7, [2, 4], []) == [4, 1]
+        assert gcd_one(F7, [], [3]) == [1]
         with pytest.raises(InvalidInput):
-            monic_gcd(F7, [], [])
+            gcd_one(F7, [], [])
 
     def test_random_coprime_is_one(self):
         rng = random.Random(0)
         for _ in range(20):
             u = rand_coeffs(F101, rng.randrange(1, 12), rng)
             v = rand_coeffs(F101, rng.randrange(1, 12), rng)
-            g = monic_gcd(F101, u, v)
+            g = gcd_one(F101, u, v)
             # coprime unless they share a root pattern; verify by division
             for f in (u, v):
                 _, r = poly_divmod(F101, f, g)
@@ -53,9 +53,9 @@ class TestMonicGcd:
             w = rand_coeffs(F101, rng.randrange(1, 8), rng)
             u = rand_coeffs(F101, rng.randrange(1, 8), rng)
             v = rand_coeffs(F101, rng.randrange(1, 8), rng)
-            g = monic_gcd(F101, poly_mul(F101, u, w), poly_mul(F101, v, w))
-            expect = monic(F101, poly_mul(F101, w, monic_gcd(F101, u, v)))
-            assert list(g) == expect
+            g = gcd_one(F101, poly_mul(F101, u, w), poly_mul(F101, v, w))
+            expect = monic(F101, poly_mul(F101, w, gcd_one(F101, u, v)))
+            assert g == expect
 
     def test_block_path_matches_generic(self):
         # sizes crossing the Lehmer window exercise the fast lane
@@ -66,16 +66,16 @@ class TestMonicGcd:
                 g = rand_coeffs(F, dg, rng)
                 u = poly_mul(F, g, rand_coeffs(F, du, rng))
                 v = poly_mul(F, g, rand_coeffs(F, du, rng))
-                fast = monic_gcd(F, u, v)
-                slow = generic_monic_gcd(F, u, v)
-                assert list(fast) == list(slow)
+                assert gcd_one(F, u, v) == generic_monic_gcd(F, u, v)
 
-    def test_numpy_inputs_round_trip(self):
-        u = np.array([6, 0, 1], dtype=np.int64)
-        v = np.array([6, 1], dtype=np.int64)
-        g = monic_gcd(F7, u, v)
-        assert isinstance(g, np.ndarray)
-        assert g.tolist() == [6, 1]
+    def test_takes_only_batches(self):
+        U = np.array([[6, 0, 1]], dtype=np.int64)
+        V = np.array([[6, 1]], dtype=np.int64)
+        G, lockstep = monic_gcd(F7, U, V)
+        assert G.tolist() == [[6, 1]] and lockstep == 1
+        for u, v in (([6, 0, 1], [6, 1]), (U[0], V[0]), (U, V[:0])):
+            with pytest.raises(InvalidInput):
+                monic_gcd(F7, u, v)
 
     def test_extension_field(self):
         E = ExtField(7, (1, 0, 1))
@@ -84,7 +84,7 @@ class TestMonicGcd:
             w = rand_coeffs(E, rng.randrange(1, 5), rng)
             u = poly_mul(E, w, rand_coeffs(E, rng.randrange(1, 5), rng))
             v = poly_mul(E, w, rand_coeffs(E, rng.randrange(1, 5), rng))
-            g = monic_gcd(E, u, v)
+            g = gcd_one(E, u, v)
             _, r = poly_divmod(E, g, monic(E, w))
             assert r == []
 
@@ -94,7 +94,7 @@ class TestMonicGcd:
         w = rand_coeffs(E, 12, rng)
         u = poly_mul(E, w, rand_coeffs(E, 20, rng))
         v = poly_mul(E, w, rand_coeffs(E, 20, rng))
-        assert monic_gcd(E, u, v) == generic_monic_gcd(E, u, v)
+        assert gcd_one(E, u, v) == generic_monic_gcd(E, u, v)
 
 
 class TestBerlekampMassey:
@@ -128,7 +128,7 @@ class TestBerlekampMassey:
 
 class TestFindRoots:
     def test_linear(self):
-        assert find_roots(F7, [1, 1], random.Random(0)) == [6]
+        assert roots_one(F7, [1, 1], random.Random(0)) == [6]
 
     def test_linear_skips_the_split_check(self):
         # a linear f has its root in the field: a batch of linear rows takes
@@ -143,11 +143,13 @@ class TestFindRoots:
         assert [tuple(r) for r in roots[:, 0].tolist()] == [E.neg(c), E.neg(E.inv(c))]
 
     def test_quadratic(self):
-        roots = find_roots(F7, [6, 2, 1], random.Random(0))
+        roots = roots_one(F7, [6, 2, 1], random.Random(0))
         assert sorted(roots) == [2, 3]
 
-    def test_irreducible_raises(self):
-        with pytest.raises(RootDeficit):
+    def test_irreducible_does_not_split(self):
+        roots, split, rounds = find_roots(F7, np.array([[1, 0, 1]]), random.Random(0))
+        assert split.tolist() == [False] and roots.tolist() == [[0, 0]] and rounds == 1
+        with pytest.raises(InvalidInput):
             find_roots(F7, [1, 0, 1], random.Random(0))
 
     def test_random_split_products(self):
@@ -157,18 +159,18 @@ class TestFindRoots:
             f = [1]
             for a in roots:
                 f = poly_mul(F101, f, [101 - a, 1])
-            got = find_roots(F101, f, rng)
+            got = roots_one(F101, f, rng)
             assert sorted(got) == sorted(roots)
 
     def test_char_two(self):
         F2 = PrimeField(2)
-        assert sorted(find_roots(F2, [0, 1, 1], random.Random(0))) == [0, 1]
+        assert sorted(roots_one(F2, [0, 1, 1], random.Random(0))) == [0, 1]
         E4 = ExtField(2, (1, 1, 1))
         roots = [E4.zero, E4.one, (0, 1), (1, 1)]
         f = [E4.one]
         for a in roots:
             f = poly_mul(E4, f, [E4.neg(a), E4.one])
-        got = find_roots(E4, f, random.Random(1))
+        got = roots_one(E4, f, random.Random(1))
         assert sorted(got) == sorted(roots)
 
     def test_extension_field(self):
@@ -179,7 +181,7 @@ class TestFindRoots:
         f = [E.one]
         for a in roots:
             f = poly_mul(E, f, [E.neg(a), E.one])
-        assert sorted(find_roots(E, f, rng)) == sorted(roots)
+        assert sorted(roots_one(E, f, rng)) == sorted(roots)
 
 
     @pytest.mark.parametrize("field", [F7, F101, PrimeField(2**31 - 1), ExtField(5, (2, 0, 1)), ExtField(2, (1, 1, 1))],
@@ -209,9 +211,8 @@ class TestFindRoots:
         for i, f in enumerate(polys):
             if i != 3:
                 assert sorted(elements_of(field, roots[i, : len(f) - 1])) == want[i]
-                assert sorted(find_roots(field, f, rng)) == want[i]
-        with pytest.raises(RootDeficit):
-            find_roots(field, polys[3], rng)
+                assert sorted(roots_one(field, f, rng)) == want[i]
+        assert roots_one(field, polys[3], rng) is None
 
 
 def elements_of(field, a):
@@ -221,20 +222,23 @@ def elements_of(field, a):
 
 class TestTransposedVandermonde:
     def test_single_node(self):
-        assert solve_transposed_vandermonde(F7, [6], [5]) == [2]
+        assert solve_one(F7, [6], [5]) == [2]
 
     def test_two_nodes(self):
-        assert solve_transposed_vandermonde(F7, [2, 3], [5, 6]) == [1, 1]
+        assert solve_one(F7, [2, 3], [5, 6]) == [1, 1]
 
     def test_empty(self):
-        assert solve_transposed_vandermonde(F7, [], []) == []
+        assert solve_one(F7, [], []) == []
 
     def test_duplicate_nodes(self):
-        with pytest.raises(SingularSystem):
-            solve_transposed_vandermonde(F7, [2, 2], [1, 2])
+        # Q_j(m_j) = 0 for a repeated node: its coefficients come back zero
+        assert solve_one(F7, [2, 2], [1, 2]) == [0, 0]
 
     def test_zero_node(self):
-        with pytest.raises(SingularSystem):
+        # a zero node is padding: its coefficient is zero, and node 2 solves
+        # c 2 = 1 alone
+        assert solve_one(F7, [0, 2], [1, 2]) == [0, 4]
+        with pytest.raises(InvalidInput):
             solve_transposed_vandermonde(F7, [0, 2], [1, 2])
 
     def test_random_round_trip(self):
@@ -243,7 +247,7 @@ class TestTransposedVandermonde:
             ms = rng.sample(range(1, 101), t)
             cs = [rng.randrange(1, 101) for _ in range(t)]
             vals = [sum(c * pow(m, i, 101) for c, m in zip(cs, ms)) % 101 for i in range(1, t + 1)]
-            assert solve_transposed_vandermonde(F101, ms, vals) == cs
+            assert solve_one(F101, ms, vals) == cs
 
 
 class TestPipelineRoundTrip:
@@ -267,9 +271,9 @@ class TestPipelineRoundTrip:
                     seq.append(acc)
                 lam = berlekamp_massey(field, seq)
                 assert len(lam) - 1 == t
-                roots = find_roots(field, lam, rng)
+                roots = roots_one(field, lam, rng)
                 assert sorted(roots) == sorted(ms)
-                coeffs = solve_transposed_vandermonde(field, roots, seq[:t])
+                coeffs = solve_one(field, roots, seq[:t])
                 recovered = dict(zip(roots, coeffs))
                 assert recovered == dict(zip(ms, cs))
 
