@@ -80,16 +80,14 @@ def instance_seed(base_seed: int, point: int, index: int) -> int:
     return (base_seed * 1_000_003 + point) * 1_000 + index
 
 
-def run_point(suite, n, terms, deg, field, omega, base_seed, per_point, epsilon, term_strategy):
+def run_point(suite, n, terms, deg, field, omega, base_seed, per_point):
     rows = []
     point = {"terms": terms, "vars": n, "degree": deg}[suite]
     for idx in range(per_point):
         seed = instance_seed(base_seed, point, idx)
         rng = random.Random(seed)
         A, B, G = gen_triple(field, rng, n, terms, deg)
-        cfg = GcdConfig(
-            epsilon=epsilon, seed=seed, omega=omega, term_strategy=term_strategy
-        )
+        cfg = GcdConfig(seed=seed, omega=omega)
         t0 = time.perf_counter()
         try:
             got, trace = gcd(field, A, B, cfg)
@@ -110,9 +108,7 @@ def run_suite(
     points=None,
     per_point: int = 5,
     seed: int = 0,
-    epsilon: float = 1e-3,
     omega: int | None = None,
-    term_strategy: str = "linear",
     time_limit: float | None = None,
     full_scale: bool = False,
 ):
@@ -135,9 +131,7 @@ def run_suite(
             n, terms, deg = point, shape["terms"], shape["deg"]
         else:
             n, terms, deg = shape["n"], shape["terms"], point
-        rows = run_point(
-            suite, n, terms, deg, field, omega, seed, per_point, epsilon, term_strategy
-        )
+        rows = run_point(suite, n, terms, deg, field, omega, seed, per_point)
         all_rows.extend(rows)
         mean_s = sum(r.wall_ms for r in rows) / len(rows) / 1000.0
         if mean_s > limit:

@@ -5,6 +5,9 @@
     spgcd bench --suite degree --csv out.csv
     spgcd verify G.poly A.poly B.poly    exit 3 when verification fails
 
+Bad arguments exit 1 on every subcommand (--help exits 0), so exit 2 means
+only that the engine gave up.
+
 verify checks that G divides A and B exactly, then that G's univariate image
 matches the GCD of A's and B's at random points drawn from seed 0, or from
 SPGCD_SEED when it is set (engine.check_gcd_image), which no proper divisor
@@ -56,12 +59,6 @@ def _add_engine_flags(sub):
         "(default: 6 for p=10000019, otherwise drawn in an extension field)",
     )
     sub.add_argument("--retries", type=int, default=3, help="retry budget")
-    sub.add_argument(
-        "--term-strategy",
-        choices=["doubling", "linear"],
-        default="linear",
-        help="Hankel probe growth per round",
-    )
 
 
 def cmd_gcd(args) -> int:
@@ -79,7 +76,6 @@ def cmd_gcd(args) -> int:
         epsilon=args.epsilon,
         seed=seed,
         max_retries=args.retries,
-        term_strategy=args.term_strategy,
         omega=bench.default_omega(args.omega, field_a.p),
     )
     try:
@@ -128,7 +124,6 @@ def cmd_bench(args) -> int:
             per_point=args.per_point,
             seed=_resolve_seed(args.seed) or 0,
             omega=args.omega,
-            term_strategy=args.term_strategy,
             time_limit=args.time_limit,
             full_scale=args.full_scale,
         )
@@ -208,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p", type=int, default=bench.STANDARD_PRIME)
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--omega", type=int, default=None)
-    s.add_argument("--term-strategy", choices=["doubling", "linear"], default="linear")
     s.add_argument("--time-limit", type=float, default=None, help="seconds per point")
     s.add_argument("--full-scale", action="store_true", help="full-size sweep ranges")
     s.add_argument("--append", action="store_true", help="append to an existing CSV")
@@ -223,8 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2, the failure code, on bad arguments
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     return args.func(args)
 
 

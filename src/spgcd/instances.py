@@ -66,14 +66,10 @@ def random_poly(
     return SparsePoly.from_terms(field, n, zip(coeffs, sorted(support)))
 
 
-def gen_triple(
-    field: PrimeField,
-    rng: random.Random,
-    n: int,
-    terms: int,
-    deg: int,
-    max_resample: int = 16,
-):
+_RESAMPLES = 16  # cofactor pairs gen_triple draws before it gives up
+
+
+def gen_triple(field: PrimeField, rng: random.Random, n: int, terms: int, deg: int):
     """(A' * G, B' * G, G) with G lex-monic and A', B' coprime (verified by the
     dense oracle when the shape fits its budget, accepted otherwise).
 
@@ -83,7 +79,7 @@ def gen_triple(
     """
     G = lex_monic(field, random_poly(field, rng, n, terms, deg))
     one = SparsePoly.constant(field, n, field.one)
-    for _ in range(max_resample):
+    for _ in range(_RESAMPLES):
         A1 = monomial_primitive(random_poly(field, rng, n, terms, deg))
         B1 = monomial_primitive(random_poly(field, rng, n, terms, deg))
         try:

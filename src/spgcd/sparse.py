@@ -235,12 +235,10 @@ def has_max_isolated_term(f: SparsePoly, s) -> bool:
     return int(np.count_nonzero(dots == dots.max())) == 1
 
 
-def choose_isolating_vector(
-    A: SparsePoly,
-    B: SparsePoly,
-    rng: random.Random,
-    max_attempts: int = 512,
-):
+_ISOLATE_ATTEMPTS = 512  # draws of s before choose_isolating_vector gives up
+
+
+def choose_isolating_vector(A: SparsePoly, B: SparsePoly, rng: random.Random):
     """Sample s with 1 <= s_i <= N until A or B gets a maximum isolated term.
 
     N escalates 1, 2, 4, ... up to cap = 2*min(#A - 1, #B - 1) and then
@@ -260,7 +258,7 @@ def choose_isolating_vector(
     if B.n_terms == 1:
         return ones, "B"
     N = 1
-    for _ in range(max_attempts):
+    for _ in range(_ISOLATE_ATTEMPTS):
         s = tuple(rng.randint(1, N) for _ in range(n))
         if has_max_isolated_term(A, s):
             return s, "A"

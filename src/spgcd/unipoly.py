@@ -12,7 +12,7 @@ per polynomial, each its own modulus.
 
 monic_gcd has one Euclid for every row of a batch.  The rows run in
 lockstep, since at generic points they share one remainder degree
-sequence.  On int64 residues of F_p (element shape (), no wide products),
+sequence.  On the F_p numpy lane (int64 residues of F_p, element shape ()),
 while degrees are _BLOCK_MIN_DEG or more, a block phase extracts quotients
 from a window of the top coefficients of all rows at once (they agree with
 the true quotients while remainder degrees stay in the window's upper
@@ -38,7 +38,7 @@ import random
 import numpy as np
 
 from .errors import InvalidInput
-from .field import Field, nonzero
+from .field import LANE_FP_NUMPY, Field, nonzero
 
 _FFT_MAX_P = 1 << 24  # 8-bit digit split keeps FFT rounding below 1/4
 _FFT_MIN_SIZE = 24_000  # MAC count under which np.convolve wins
@@ -107,16 +107,11 @@ def _fft_sum(p, products, n, N):
 
 
 def _np_mul(p, a, b):
-    """Product of int64 coefficient vectors mod p, overflow-safe."""
+    """Product of int64 coefficient vectors mod p by sliced np.convolve,
+    overflow-safe: _np_apply's products where its FFT does not apply."""
     if not len(a) or not len(b):
         return np.zeros(0, dtype=np.int64)
     la, lb = len(a), len(b)
-    if p < _FFT_MAX_P and la * lb >= _FFT_MIN_SIZE and la + lb - 1 >= 64:
-        N = 1 << (la + lb - 2).bit_length()
-        try:
-            return _fft_sum(p, [(_planes(a, N), _planes(b, N))], la + lb - 1, N)
-        except ArithmeticError:
-            pass
     # np.convolve accumulates up to min(la, lb) products of size < p^2
     cap = (1 << 62) // (p * p) + 1
     short, long_ = (a, b) if la <= lb else (b, a)
@@ -318,11 +313,12 @@ def _lockstep_euclid(kern, R0, R1):
 
 
 def _lockstep_gcd(kern, R0, R1):
-    """_lockstep_euclid, after the block phase where the rows are int64
-    residues (the phase's FFT products need them) and wide enough.  Returns
-    the indices of the rows that stayed and their monic gcds."""
+    """_lockstep_euclid, after the block phase on the F_p numpy lane (the
+    phase's FFT products need its int64 residues) when the rows are wide
+    enough.  Returns the indices of the rows that stayed and their monic
+    gcds."""
     rows = np.arange(len(R0))
-    if kern.shape == () and kern.work is np.int64 and R0.shape[1] - 1 >= _BLOCK_MIN_DEG:
+    if kern.lane == LANE_FP_NUMPY and R0.shape[1] - 1 >= _BLOCK_MIN_DEG:
         rows, R0, R1 = _np_lockstep_block(kern.p, R0, R1)
     kept, G = _lockstep_euclid(kern, R0, R1)
     return rows[kept], G

@@ -104,7 +104,7 @@ def test_criterion_3_degree_scaling():
             seed = instance_seed(0, D, idx)
             rng = random.Random(seed)
             A, B, G = gen_triple(FP, rng, 6, 30, D)
-            cfg = GcdConfig(seed=seed, omega=STANDARD_OMEGA, term_strategy="linear")
+            cfg = GcdConfig(seed=seed, omega=STANDARD_OMEGA)
             t1 = time.perf_counter()
             got, _ = gcd(FP, A, B, cfg)
             times.append(time.perf_counter() - t1)

@@ -81,7 +81,7 @@ def poly_add(field, a, b):
 
 
 def poly_mul(field, a, b):
-    """Product by the F_p numpy lane's multiplication (FFT for wide rows),
+    """Product by the F_p numpy lane's multiplication (sliced np.convolve),
     or by the test reference's over F_{p^k}."""
     if isinstance(field, ExtField):
         return reference.poly_mul(field, a, b)
@@ -221,7 +221,7 @@ def test_rows_whose_window_disagrees_leave(monkeypatch):
     # and gcd() still answers: gcd(A, A) has wide images whose first window
     # step leaves a zero remainder
     A, _, _ = gen_triple(field, random.Random(5), 6, 30, 1600)
-    got, tr = gcd(field, A, A, GcdConfig(seed=1, omega=6, term_strategy="linear"))
+    got, tr = gcd(field, A, A, GcdConfig(seed=1, omega=6))
     assert got == lex_monic(field, A)
     assert tr.lockstep_rows == 0
 

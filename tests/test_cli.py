@@ -49,6 +49,21 @@ class TestGcdCommand:
         ok.write_text("p 7\nn 2\n1 1 1\n")
         assert run(["gcd", str(bad), str(ok)]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gcd", "a.poly", "b.poly", "--bogus"],
+            ["gcd", "a.poly"],
+            ["bench", "--suite", "sizes", "--csv", "out.csv"],
+            ["gcd", "a.poly", "b.poly", "--term-strategy", "linear"],
+        ],
+        ids=["unknown-flag", "missing-operand", "bad-suite", "term-strategy"],
+    )
+    def test_argument_error_exit_code(self, argv, capsys):
+        # 2 is the engine's failure code; a bad argument is a usage error
+        assert run(argv) == 1
+        assert "error: " in capsys.readouterr().err
+
     def test_linear_factor_file_output(self, tmp_path, capsys):
         # A = (x1 + x2)(x1 x2 + 1), B = (x1 + x2)(x1 + 2) over F_11
         a = tmp_path / "a.poly"

@@ -260,7 +260,7 @@ class TestPrimitiveGcd:
         # images of degree >= _BLOCK_MIN_DEG with u = v: the block Euclid's
         # first window leaves a zero remainder
         A, _, _ = gen_triple(FP, random.Random(5), 6, 30, 1600)
-        got, _ = gcd(FP, A, A, GcdConfig(seed=1, omega=6, term_strategy="linear"))
+        got, _ = gcd(FP, A, A, GcdConfig(seed=1, omega=6))
         assert got == lex_monic(FP, A)
 
     def test_coprime_inputs(self):
@@ -361,7 +361,6 @@ class TestGcdWrapper:
             8: [IV_deg],
             9: [IV_deg],
             11: [II_deg, II_deg],
-            13: [IV_lc, IV_lc, II_deg, IV_lc, IV_lc],
             15: [IV_deg],
             23: [IV_lc, IV_lc],
             27: [IV_deg],
@@ -481,7 +480,7 @@ class TestTrace:
     def test_stage_iv_rows_in_lockstep(self):
         # the standard shape: every grid row's GCD runs in the lockstep Euclid
         A, B, G = gen_triple(FP, random.Random(1), 6, 30, 30)
-        got, tr = gcd(FP, A, B, GcdConfig(seed=3, omega=6, term_strategy="linear"))
+        got, tr = gcd(FP, A, B, GcdConfig(seed=3, omega=6))
         assert got == G and tr.retries == 0
         assert tr.lockstep_rows == (6 + 1) * 2 * tr.term_bounds.global_T
         assert tr.fallback_rows == 0
@@ -491,7 +490,7 @@ class TestTrace:
         # wide kernel
         field = PrimeField(2**31 - 1)
         A, B, G = gen_triple(field, random.Random(2), 3, 6, 6)
-        got, tr = gcd(field, A, B, GcdConfig(seed=4, omega=7, term_strategy="linear"))
+        got, tr = gcd(field, A, B, GcdConfig(seed=4, omega=7))
         assert got == G and tr.retries == 0
         assert tr.lanes["IV"] == tr.lanes["V"] == LANE_WIDE
         assert tr.lockstep_rows == (3 + 1) * 2 * tr.term_bounds.global_T
@@ -501,7 +500,7 @@ class TestTrace:
         # the ext_field benchmark shape: p = 1000003 without omega
         field = PrimeField(1000003)
         A, B, G = gen_triple(field, random.Random(9), 4, 10, 10)
-        got, tr = gcd(field, A, B, GcdConfig(seed=16, term_strategy="linear"))
+        got, tr = gcd(field, A, B, GcdConfig(seed=16))
         assert got == G
         assert tr.ext2_degree > 1 and tr.ext3_degree > 1
         assert tr.lanes == {"II": LANE_FPK_KERNEL, "IV": LANE_FPK_KERNEL, "V": LANE_FPK_KERNEL}
@@ -514,11 +513,11 @@ class TestTrace:
         assert tr.fallback_rows == 0
 
     def test_stage_ii_images_read_and_taken(self):
-        # under "linear" the last Hankel round of an attempt is T = global_T
-        # + 1, so it reads 2 global_T + 1 images; narrow images come in a
-        # first batch of 8 and then doubling
+        # the last Hankel round of an attempt is T = global_T + 1, so it
+        # reads 2 global_T + 1 images; narrow images come in a first batch
+        # of 8, and each later batch doubles the images taken
         A, B, G = gen_triple(FP, random.Random(1), 6, 30, 30)
-        got, tr = gcd(FP, A, B, GcdConfig(seed=3, omega=6, term_strategy="linear"))
+        got, tr = gcd(FP, A, B, GcdConfig(seed=3, omega=6))
         assert got == G and tr.retries == 0 and tr.term_bounds.global_T == 4
         assert (tr.stage2_images_read, tr.stage2_images_taken) == (9, 16)
         # both sum over attempts: trial 11 at p = 61 fails Stage II twice,
@@ -531,7 +530,7 @@ class TestTrace:
 
     def test_stage_v_records_split_rounds(self):
         A, B, G = gen_triple(FP, random.Random(3), 6, 30, 30)
-        got, tr = gcd(FP, A, B, GcdConfig(seed=5, omega=6, term_strategy="linear"))
+        got, tr = gcd(FP, A, B, GcdConfig(seed=5, omega=6))
         assert got == G
         assert tr.lanes["V"] == LANE_FP_NUMPY
         assert len(tr.split_rounds) == tr.retries + 1
@@ -558,7 +557,7 @@ class TestTrace:
         monkeypatch.setattr(engine_mod, "interpolate", corrupt_once)
         monkeypatch.setattr(engine_mod, "TermBounds", record)
         A, B, G = gen_triple(FP, random.Random(3), 6, 30, 30)
-        got, tr = gcd(FP, A, B, GcdConfig(seed=5, omega=6, term_strategy="linear"))
+        got, tr = gcd(FP, A, B, GcdConfig(seed=5, omega=6))
         assert got == G and calls[0] >= 3
         d = max(max(A.partial_degrees()), max(B.partial_degrees()))
         e = bounds[0].layer_ydegs[1]
@@ -574,10 +573,5 @@ class TestConfig:
             GcdConfig(max_retries=-1).validate()
         with pytest.raises(InvalidInput):
             GcdConfig(term_strategy="cubic").validate()
-
-    def test_linear_strategy_matches(self):
-        rng = random.Random(8)
-        A, B, G = gen_triple(FP, rng, 3, 8, 10)
-        g1, _ = gcd(FP, A, B, GcdConfig(seed=15, omega=6, term_strategy="linear"))
-        g2, _ = gcd(FP, A, B, GcdConfig(seed=15, omega=6, term_strategy="doubling"))
-        assert g1 == G and g2 == G
+        with pytest.raises(InvalidInput):
+            GcdConfig(term_strategy="doubling").validate()
